@@ -13,14 +13,13 @@ from .analysis import (
     sifted_keys,
     summarize,
 )
-from .attacks import Attack, AttackStrategy, EveRoundState, build
+from .attacks import Attack, AttackStrategy, build
 from .fock import (
     FockState,
     OutcomeDistribution,
     apply_beam_splitter,
     apply_phase_shift,
     make_single_photon,
-    measure_modes,
     one_photon_pair,
     outcome_distribution,
     project_onto,
@@ -32,10 +31,8 @@ from .protocol import (
     DeviceModel,
     RoundRecord,
     SessionConfig,
-    control_announce,
-    control_photon_count,
-    encode_bit,
     infer_bit,
+    latent_distribution,
     run_round,
     run_session,
     run_session_sharded,

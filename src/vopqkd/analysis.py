@@ -2,22 +2,22 @@
 
 Summaries are pure folds over round records, so partial results from
 sharded sessions merge by concatenating record lists. The oracle side
-computes exact Born-rule readout distributions for a scenario (enumerating
-all discrete round latents, staging around the one adaptive measurement)
-and compares them with Monte-Carlo frequencies.
+computes exact Born-rule distributions for a scenario by summing over the
+sampler's own case tables and per-latent distributions, and compares them
+with Monte-Carlo frequencies.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import attacks as attacks_mod
-from . import fock
 from . import protocol
-from .protocol import DeviceModel, RoundRecord, SessionConfig
+from .protocol import RoundRecord, SessionConfig
 
 ANNOUNCE = "announce-bit"
 COUNT = "photon-count-check"
@@ -214,143 +214,47 @@ def announcement_bit_mutual_information(records: Sequence[RoundRecord]) -> float
 
 CountsPair = Tuple[int, int]
 Readout = Tuple[CountsPair, CountsPair]
+EveCounts = Tuple[int, ...]
 
 
-def _emission_cases(device: DeviceModel) -> List[Tuple[int, float]]:
-    if device.p2 <= 0.0:
-        return [(1, 1.0)]
-    if device.p2 >= 1.0:
-        return [(2, 1.0)]
-    return [(1, 1.0 - device.p2), (2, device.p2)]
+def exact_joint_distribution(cfg: SessionConfig) -> Dict[Tuple[Readout, EveCounts], float]:
+    """Exact joint distribution of the device-reported (alice_counts,
+    bob_counts) and the adversary's own counts for one round: the sampler's
+    case tables and `latent_distribution`, summed instead of drawn."""
+    attack = attacks_mod.build(cfg.attack)
+    alice, bob = cfg.device_alice, cfg.device_bob
+    acc: Dict[Tuple[Readout, EveCounts], float] = {}
+    for latents in itertools.product(*protocol.latent_tables(cfg, attack)):
+        weight = math.prod(p for _, p in latents)
+        n, m, na, nb, *bits = (value for value, _ in latents)
+        dist = protocol.latent_distribution(attack, n, m, na, nb, tuple(bits), recombine=True)
+        for occ, p in dist.entries.items():
+            for ra, pa in protocol.detector_cases(occ[:2], alice.eta, alice.detector_kind):
+                for rb, pb in protocol.detector_cases(occ[2:4], bob.eta, bob.detector_kind):
+                    key = ((ra, rb), occ[4:])
+                    acc[key] = acc.get(key, 0.0) + weight * p * pa * pb
+    return acc
 
 
-def _detector_channel(counts: CountsPair, device: DeviceModel) -> Dict[CountsPair, float]:
-    """Exact distribution of the device-reported pair for true photon counts."""
-    per_port: List[Dict[int, float]] = []
-    for c in counts:
-        if device.eta >= 1.0:
-            dist = {c: 1.0}
-        else:
-            dist = {
-                d: math.comb(c, d) * device.eta**d * (1.0 - device.eta) ** (c - d)
-                for d in range(c + 1)
-            }
-        if device.detector_kind == "threshold":
-            clicks = {0: 0.0, 1: 0.0}
-            for d, p in dist.items():
-                clicks[1 if d > 0 else 0] += p
-            dist = {k: v for k, v in clicks.items() if v > 0.0}
-        per_port.append(dist)
-    out: Dict[CountsPair, float] = {}
-    for d1, p1 in per_port[0].items():
-        for d2, p2 in per_port[1].items():
-            out[(d1, d2)] = out.get((d1, d2), 0.0) + p1 * p2
+def _marginal(joint: Dict[tuple, float], part: int) -> Dict:
+    out: Dict = {}
+    for key, p in joint.items():
+        out[key[part]] = out.get(key[part], 0.0) + p
     return out
-
-
-def _accumulate_readout(
-    acc: Dict[Readout, float],
-    state: fock.FockState,
-    ports: Tuple[str, str, str, str],
-    weight: float,
-    cfg: SessionConfig,
-) -> None:
-    dist = fock.outcome_distribution(state, ports)
-    for outcome, p in dist.entries.items():
-        for ra, pa in _detector_channel((outcome[0], outcome[1]), cfg.device_alice).items():
-            for rb, pb in _detector_channel((outcome[2], outcome[3]), cfg.device_bob).items():
-                key = (ra, rb)
-                acc[key] = acc.get(key, 0.0) + weight * p * pa * pb
 
 
 def exact_readout_distribution(cfg: SessionConfig) -> Dict[Readout, float]:
     """Exact distribution of device-reported (alice_counts, bob_counts) for
     one round of the scenario, marginalized over all round randomness."""
-    attack = attacks_mod.build(cfg.attack)
-    acc: Dict[Readout, float] = {}
-    for n in (-1, 1):
-        for m in (-1, 1):
-            for na, wa in _emission_cases(cfg.device_alice):
-                for nb, wb in _emission_cases(cfg.device_bob):
-                    base = 0.25 * wa * wb
-                    if attack.adaptive:
-                        _devil_readout(acc, attack, cfg, n, m, na, nb, base)
-                    else:
-                        for bits, wbits in _attack_bit_cases(attack):
-                            state, ta, tb = protocol.evolved_round_state(
-                                attack, n, m, na, nb, bits
-                            )
-                            _accumulate_readout(
-                                acc, state, ("a1", ta, "b1", tb), base * wbits, cfg
-                            )
-    return acc
+    return _marginal(exact_joint_distribution(cfg), 0)
 
 
-def _attack_bit_cases(attack) -> List[Tuple[tuple, float]]:
-    if isinstance(attack, attacks_mod.InterceptResendAttack) and not attack.adaptive:
-        return [((p, q), 0.25) for p in (-1, 1) for q in (-1, 1)]
-    return [((), 1.0)]
-
-
-def _devil_branches(eve_total: int) -> List[Tuple[fock.FockState, Optional[int], float]]:
-    # Mirrors the adaptive resend rule: forward the prepared pair mode on a
-    # one-photon count, vacuum when Alice will see two, one photon when zero.
-    if eve_total == 1:
-        return [(fock.one_photon_pair(("e3", "e4"), q), q, 0.5) for q in (-1, 1)]
-    if eve_total == 0:
-        return [(fock.vacuum(("e4",)), None, 1.0)]
-    return [(fock.basis_state(("e4",), (1,)), None, 1.0)]
-
-
-def _devil_readout(acc, attack, cfg, n, m, na, nb, base) -> None:
-    for p in (-1, 1):
-        s1 = attack.alice_side(protocol.encoded_pair_state(n, protocol.ALICE_MODES, na), p)
-        d1 = fock.outcome_distribution(s1, attack.eve_ports)
-        for eve_outcome, pe in d1.entries.items():
-            _, collapsed = fock.project_onto(s1, attack.eve_ports, eve_outcome)
-            for content, _q, pq in _devil_branches(sum(eve_outcome)):
-                state = fock.tensor(
-                    collapsed,
-                    protocol.encoded_pair_state(m, protocol.BOB_MODES, nb),
-                    content,
-                )
-                state = fock.apply_beam_splitter(state, "a1", "e2")
-                state = fock.apply_beam_splitter(state, "b1", "e4")
-                _accumulate_readout(
-                    acc, state, ("a1", "e2", "b1", "e4"), base * 0.5 * pe * pq, cfg
-                )
-
-
-def exact_eve_count_distribution(cfg: SessionConfig) -> Dict[Tuple[int, ...], float]:
-    """Exact distribution of the adversary's own detector counts (intercept
-    strategies only)."""
-    attack = attacks_mod.build(cfg.attack)
-    if not isinstance(attack, attacks_mod.InterceptResendAttack):
+def exact_eve_count_distribution(cfg: SessionConfig) -> Dict[EveCounts, float]:
+    """Exact distribution of the adversary's own detector counts (strategies
+    with detectors only)."""
+    if not attacks_mod.build(cfg.attack).eve_ports:
         raise ValueError("the adversary has no detectors in this scenario")
-    acc: Dict[Tuple[int, ...], float] = {}
-    for n in (-1, 1):
-        for na, wa in _emission_cases(cfg.device_alice):
-            for p in (-1, 1):
-                weight = 0.25 * wa
-                if attack.adaptive:
-                    s1 = attack.alice_side(
-                        protocol.encoded_pair_state(n, protocol.ALICE_MODES, na), p
-                    )
-                    dist = fock.outcome_distribution(s1, attack.eve_ports)
-                    for outcome, pr in dist.entries.items():
-                        acc[outcome] = acc.get(outcome, 0.0) + weight * pr
-                else:
-                    for m in (-1, 1):
-                        for nb, wb in _emission_cases(cfg.device_bob):
-                            for q in (-1, 1):
-                                state, _, _ = protocol.evolved_round_state(
-                                    attack, n, m, na, nb, (p, q)
-                                )
-                                dist = fock.outcome_distribution(state, attack.eve_ports)
-                                w = weight * 0.25 * wb
-                                for outcome, pr in dist.entries.items():
-                                    acc[outcome] = acc.get(outcome, 0.0) + w * pr
-    return acc
+    return _marginal(exact_joint_distribution(cfg), 1)
 
 
 @dataclass(frozen=True)
@@ -379,6 +283,7 @@ def oracle_check(cfg: SessionConfig, records: Optional[Sequence[RoundRecord]] = 
     if records is None:
         records, _ = protocol.run_session(cfg)
     normal = [r for r in records if r.control is None or r.control.kind != COUNT]
+    joint = exact_joint_distribution(cfg)
     stages = []
 
     readout_counts: Dict[Readout, int] = {}
@@ -388,28 +293,23 @@ def oracle_check(cfg: SessionConfig, records: Optional[Sequence[RoundRecord]] = 
     stages.append(
         _stage(
             "readout",
-            exact_readout_distribution(cfg),
+            _marginal(joint, 0),
             readout_counts,
             len(normal),
             lambda k: "a{}{}-b{}{}".format(k[0][0], k[0][1], k[1][0], k[1][1]),
         )
     )
 
-    if cfg.attack.kind in ("mitm", "devil"):
-        attack = attacks_mod.build(cfg.attack)
-        eve_counts: Dict[Tuple[int, ...], int] = {}
-        n_eve = 0
+    if attacks_mod.build(cfg.attack).eve_ports:
+        eve_counts: Dict[EveCounts, int] = {}
         for r in normal:
-            if r.eve is not None:
-                key = tuple(r.eve.eve_counts[p] for p in attack.eve_ports)
-                eve_counts[key] = eve_counts.get(key, 0) + 1
-                n_eve += 1
+            eve_counts[r.eve_counts] = eve_counts.get(r.eve_counts, 0) + 1
         stages.append(
             _stage(
                 "eve-counts",
-                exact_eve_count_distribution(cfg),
+                _marginal(joint, 1),
                 eve_counts,
-                n_eve,
+                len(normal),
                 lambda k: "e" + "".join(str(c) for c in k),
             )
         )

@@ -4,21 +4,29 @@ Every strategy is a plugin that rewires (and possibly transforms) the joint
 state at the channel: it receives the traveling rails "a2" (Alice -> Bob)
 and "b2" (Bob -> Alice), may tensor in its own modes, and tells each party
 which rail arrives at their recombiner. Stored rails "a1"/"b1" are off
-limits. Strategies draw their per-round randomness through `draw`, keep the
-channel action itself a pure function of those bits, and are stateless
-between rounds.
+limits. A strategy declares its per-round random bits as case tables
+(`bit_cases`), keeps `channel` a pure function of those bits, and is
+stateless between rounds. `channel` returns a weighted ensemble of pure
+states, so an adversary who measures mid-round and adapts her resend is one
+more ensemble, not a separate code path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
-
-import numpy as np
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from . import fock
 from .fock import FockState
+
+# A case table [(value, probability)] defines one random step; the sampler
+# draws from it and the exact oracle sums over it.
+Cases = Tuple[Tuple[object, float], ...]
+Ensemble = List[Tuple[FockState, float]]  # weighted pure states
+
+# Fair ±1 bit (logic 1 <-> +1, logic 0 <-> -1).
+BIT_CASES: Cases = ((1, 0.5), (-1, 0.5))
 
 ATTACK_KINDS = ("none", "phase", "mitm", "devil", "short-circuit")
 CHANNEL_NAMES = ("alice-to-bob", "bob-to-alice")
@@ -49,41 +57,22 @@ class AttackStrategy:
                     raise ValueError(f"unknown channel {ch!r}; choose from {CHANNEL_NAMES}")
 
 
-@dataclass
-class EveRoundState:
-    """What the adversary produced and learned in one round."""
-
-    p: Optional[int] = None
-    q: Optional[int] = None
-    eve_counts: Dict[str, int] = field(default_factory=dict)
-    learned_n: Optional[int] = None
-    learned_m: Optional[int] = None
-
-    def alice_side_total(self) -> Optional[int]:
-        if self.p is None:
-            return None
-        return self.eve_counts.get("e1", 0) + self.eve_counts.get(RAIL_TO_BOB, 0)
-
-
 class Attack:
     """Base channel hook: pass the rails through untouched."""
 
     kind = "none"
-    adaptive = False
     eve_ports: Tuple[str, ...] = ()
+    bit_cases: Tuple[Cases, ...] = ()  # one case table per adversary bit, in draw order
 
-    def draw(self, rng: np.random.Generator) -> tuple:
-        """Per-round discrete randomness (kept outside `apply` for caching)."""
-        return ()
-
-    def apply(self, state: FockState, bits: tuple) -> Tuple[FockState, str, str]:
-        """Act on the channel. Returns (state, rail_to_alice, rail_to_bob)."""
-        return state, RAIL_TO_ALICE, RAIL_TO_BOB
+    def channel(self, state: FockState, bits: tuple) -> Tuple[Ensemble, str, str]:
+        """Act on the channel. Returns (weighted pure states, rail_to_alice, rail_to_bob)."""
+        return [(state, 1.0)], RAIL_TO_ALICE, RAIL_TO_BOB
 
     def learn(
-        self, bits: tuple, eve_counts: Dict[str, int], alice_result: Optional[int]
+        self, bits: tuple, eve_counts: Optional[Tuple[int, ...]], alice_result: Optional[int]
     ) -> Optional[int]:
-        """Eve's inference of n once Alice's single-click result is public."""
+        """Eve's inference of n once Alice's single-click result is public.
+        `eve_counts` is aligned with `eve_ports`."""
         return None
 
 
@@ -100,16 +89,12 @@ class PhaseTamperAttack(Attack):
         self.phi = phi
         self.channels = channels
 
-    def apply(self, state, bits):
+    def channel(self, state, bits):
         if "alice-to-bob" in self.channels:
             state = fock.apply_phase_shift(state, RAIL_TO_BOB, self.phi)
         if "bob-to-alice" in self.channels:
             state = fock.apply_phase_shift(state, RAIL_TO_ALICE, self.phi)
-        return state, RAIL_TO_ALICE, RAIL_TO_BOB
-
-
-def _random_bit(rng: np.random.Generator) -> int:
-    return 1 if rng.random() < 0.5 else -1
+        return [(state, 1.0)], RAIL_TO_ALICE, RAIL_TO_BOB
 
 
 class InterceptResendAttack(Attack):
@@ -123,11 +108,9 @@ class InterceptResendAttack(Attack):
 
     kind = "mitm"
     eve_ports = ("e1", RAIL_TO_BOB, "e3", RAIL_TO_ALICE)
+    bit_cases = (BIT_CASES, BIT_CASES)  # (p toward Alice, q toward Bob)
 
-    def draw(self, rng):
-        return (_random_bit(rng), _random_bit(rng))  # (p toward Alice, q toward Bob)
-
-    def apply(self, state, bits):
+    def channel(self, state, bits):
         p, q = bits
         state = fock.tensor(
             state,
@@ -137,16 +120,14 @@ class InterceptResendAttack(Attack):
         # Her recombiners: kept mode on the in1 port, intercepted rail on in2.
         state = fock.apply_beam_splitter(state, "e1", RAIL_TO_BOB)
         state = fock.apply_beam_splitter(state, "e3", RAIL_TO_ALICE)
-        return state, "e2", "e4"
+        return [(state, 1.0)], "e2", "e4"
 
     def learn(self, bits, eve_counts, alice_result):
-        p = bits[0]
-        if alice_result is None:
+        # Her Alice-side ports ("e1", RAIL_TO_BOB) lead `eve_ports`.
+        if alice_result is None or eve_counts[0] + eve_counts[1] != 1:
             return None
-        if eve_counts.get("e1", 0) + eve_counts.get(RAIL_TO_BOB, 0) != 1:
-            return None
-        eve_click = 1 if eve_counts.get("e1", 0) == 1 else 2
-        return p if alice_result == eve_click else -p
+        eve_click = 1 if eve_counts[0] == 1 else 2
+        return bits[0] if alice_result == eve_click else -bits[0]
 
 
 class AdaptiveInterceptAttack(InterceptResendAttack):
@@ -158,26 +139,24 @@ class AdaptiveInterceptAttack(InterceptResendAttack):
     """
 
     kind = "devil"
-    adaptive = True
     eve_ports = ("e1", RAIL_TO_BOB)
+    bit_cases = (BIT_CASES,)  # p; q belongs to the resend on the forward branch
 
-    def draw(self, rng):
-        return (_random_bit(rng),)  # p; q is drawn only on the forward branch
-
-    def alice_side(self, alice_state: FockState, p: int) -> FockState:
-        """Eve's pair tensored in and interfered with the intercepted rail."""
-        state = fock.tensor(alice_state, fock.one_photon_pair(("e1", "e2"), p))
-        return fock.apply_beam_splitter(state, "e1", RAIL_TO_BOB)
-
-    def resend(self, eve_total: int, rng: np.random.Generator) -> Tuple[FockState, Optional[int]]:
-        """Channel content toward Bob, given Eve's own count. Returns (state on
-        rail "e4", q or None)."""
+    def resend_cases(self, eve_total: int) -> Ensemble:
+        """Channel content toward Bob (a state holding rail "e4") given Eve's count."""
         if eve_total == 1:
-            q = _random_bit(rng)
-            return fock.one_photon_pair(("e3", "e4"), q), q
-        if eve_total == 0:
-            return fock.vacuum(("e4",)), None
-        return fock.basis_state(("e4",), (1,)), None
+            return [(fock.one_photon_pair(("e3", "e4"), q), w) for q, w in BIT_CASES]
+        return [(fock.basis_state(("e4",), (0 if eve_total == 0 else 1,)), 1.0)]
+
+    def channel(self, state, bits):
+        state = fock.tensor(state, fock.one_photon_pair(("e1", "e2"), bits[0]))
+        state = fock.apply_beam_splitter(state, "e1", RAIL_TO_BOB)
+        ensemble: Ensemble = []
+        for outcome, pe in fock.outcome_distribution(state, self.eve_ports).entries.items():
+            _, collapsed = fock.project_onto(state, self.eve_ports, outcome)
+            for content, pq in self.resend_cases(sum(outcome)):
+                ensemble.append((fock.tensor(collapsed, content), pe * pq))
+        return ensemble, "e2", "e4"
 
 
 class ShortCircuitAttack(Attack):
@@ -190,8 +169,8 @@ class ShortCircuitAttack(Attack):
 
     kind = "short-circuit"
 
-    def apply(self, state, bits):
-        return state, RAIL_TO_BOB, RAIL_TO_ALICE
+    def channel(self, state, bits):
+        return [(state, 1.0)], RAIL_TO_BOB, RAIL_TO_ALICE
 
     def learn(self, bits, eve_counts, alice_result):
         if alice_result is None:

@@ -33,6 +33,25 @@ class UsageError(Exception):
     pass
 
 
+_NUMBER = (int, float)
+# JSON types each config key accepts.
+_KEY_TYPES = {
+    "rounds": int,
+    "seed": (int, type(None)),
+    "attack": str,
+    "phi": _NUMBER,
+    "channels": tuple,
+    "p2": _NUMBER,
+    "detector": str,
+    "eta": _NUMBER,
+    "control_announce_fraction": _NUMBER,
+    "control_count_fraction": _NUMBER,
+    "abort_on_detection": bool,
+    "out": (str, type(None)),
+    "format": str,
+}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Flat, file-serializable description of one CLI-reachable scenario."""
@@ -64,12 +83,20 @@ class ScenarioConfig:
             raise UsageError(f"unknown configuration keys: {', '.join(sorted(unknown))}")
         merged = (base or cls()).to_flat_dict()
         merged.update(data)
-        merged["channels"] = tuple(merged["channels"])
+        channels = merged["channels"]
+        merged["channels"] = (channels,) if isinstance(channels, str) else tuple(channels)
+        for key, value in merged.items():
+            # bool is an int subclass: accept it for the one boolean key only
+            wrong_bool = isinstance(value, bool) != (key == "abort_on_detection")
+            if wrong_bool or not isinstance(value, _KEY_TYPES[key]):
+                raise UsageError(f"configuration key {key!r} has an invalid value {value!r}")
         return cls(**merged)
 
     def session_config(self) -> SessionConfig:
         if self.seed is None:
             raise UsageError("--seed is required for record-emitting runs")
+        if self.attack != "phase" and (self.phi != 0.0 or self.channels != ScenarioConfig.channels):
+            raise UsageError("--phi and --channels apply only to --attack phase")
         device = DeviceModel(p2=self.p2, detector_kind=self.detector, eta=self.eta)
         return SessionConfig(
             rounds=self.rounds,
@@ -234,8 +261,12 @@ def format_report(summary: dict) -> str:
 
 def execute_report(path: str, out: Optional[str]) -> int:
     with open(path) as f:
-        summary = json.load(f)
-    sys.stdout.write(format_report(summary))
+        try:
+            summary = json.load(f)
+            text = format_report(summary)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise UsageError(f"not a summary JSON file: {exc!r}") from exc
+    sys.stdout.write(text)
     if out:
         with open(out, "w") as f:
             f.write(json.dumps(summary, indent=2) + "\n")
@@ -247,10 +278,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "report":
-            try:
-                return execute_report(args.summary, args.out)
-            except json.JSONDecodeError as exc:
-                raise UsageError(f"not a summary JSON file: {exc}") from exc
+            return execute_report(args.summary, args.out)
         cfg = parse_config(args)
         if args.command == "run":
             return execute_run(cfg)

@@ -3,19 +3,22 @@
 States live on a fixed, ordered registry of named optical modes and are
 stored as sparse maps from photon occupation tuples to complex amplitudes.
 Unitaries (50:50 beam splitter, phase shifter) are exact at double
-precision; measurement is projective photon counting driven by an explicit
-numpy Generator, so everything is reproducible and side-effect free.
+precision; photon-counting outcomes come as exact Born-rule distributions,
+sampled only through an explicit numpy Generator, so everything is
+reproducible and side-effect free.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Sequence, Tuple, TypeVar
 
-import numpy as np
+if TYPE_CHECKING:  # annotations only; `protocol` imports numpy at run time
+    import numpy as np
 
 Occupation = Tuple[int, ...]
+T = TypeVar("T")
 
 # Protocol states never hold more than 4 photons in one mode (two two-photon
 # sources at most); exceeding the cap means the optical network is miswired.
@@ -73,25 +76,8 @@ class FockState:
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
 
-    def total_photons(self) -> set[int]:
-        """Set of total photon numbers present in the support."""
-        return {sum(occ) for occ in self.amplitudes}
-
     def amplitude(self, occ: Occupation) -> complex:
         return self.amplitudes.get(tuple(occ), 0.0 + 0.0j)
-
-    def renamed(self, mapping: Dict[str, str]) -> "FockState":
-        """Relabel modes (amplitudes untouched); mapping may be partial."""
-        new_reg = tuple(mapping.get(m, m) for m in self.registry)
-        return FockState(new_reg, dict(self.amplitudes))
-
-    def dump_lines(self) -> list[str]:
-        """Debug dump, one `"<counts tuple> <re> <im>"` line per support vector."""
-        lines = []
-        for occ in sorted(self.amplitudes):
-            a = self.amplitudes[occ]
-            lines.append(f"{occ} {a.real:.17g} {a.imag:.17g}")
-        return lines
 
 
 def _pruned(amps: Dict[Occupation, complex]) -> Dict[Occupation, complex]:
@@ -199,6 +185,16 @@ def apply_phase_shift(state: FockState, mode: str, phi: float) -> FockState:
     return FockState(state.registry, _pruned(out))
 
 
+def pick(cases: Iterable[Tuple[T, float]], u: float) -> T:
+    """The value of the (value, probability) case whose cumulative interval holds u."""
+    acc = 0.0
+    for value, p in cases:
+        acc += p
+        if u < acc:
+            return value
+    return value  # guard against rounding at u ~ 1
+
+
 @dataclass(frozen=True)
 class OutcomeDistribution:
     """Exact Born-rule probabilities for joint photon counts on a mode subset."""
@@ -213,15 +209,8 @@ class OutcomeDistribution:
         return self.entries.get(tuple(outcome), 0.0)
 
     def sample(self, rng: np.random.Generator) -> Occupation:
-        u = rng.random()
-        acc = 0.0
-        last = None
-        for occ, p in self.entries.items():
-            acc += p
-            last = occ
-            if u < acc:
-                return occ
-        return last  # guard against rounding at u ~ 1
+        """One outcome; always consumes exactly one uniform from `rng`."""
+        return pick(self.entries.items(), rng.random())
 
     def tv_distance(self, empirical: Dict[Occupation, float]) -> float:
         keys = set(self.entries) | set(empirical)
@@ -262,18 +251,3 @@ def project_onto(state: FockState, modes: Sequence[str], counts: Sequence[int]) 
     scale = 1.0 / math.sqrt(prob)
     return prob, FockState(state.registry, _pruned({occ: a * scale for occ, a in kept.items()}))
 
-
-def measure_modes(
-    state: FockState, modes: Sequence[str], rng: np.random.Generator
-) -> Tuple[Occupation, FockState]:
-    """Projective photon-number measurement on `modes`.
-
-    Samples an outcome exactly per outcome_distribution, then returns
-    (counts aligned with `modes`, renormalized post-measurement state).
-    """
-    if not modes:
-        raise ModeError("cannot measure an empty mode list")
-    dist = outcome_distribution(state, modes)
-    outcome = dist.sample(rng)
-    _, post = project_onto(state, modes, outcome)
-    return outcome, post

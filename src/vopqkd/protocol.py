@@ -12,19 +12,26 @@ discloses n on a sacrificed accepted round) and destructive photon-count
 controls (both parties skip recombination and compare direct photon counts
 on stored and incoming modes against the exact one-photon-per-source
 correlation).
+
+Every random step of a round (the bits, the source emissions, the
+adversary's bits, detector reports) is one case table [(value, prob)]. The
+sampler draws from the tables; the exact oracle in `analysis` sums over the
+same tables and the same `latent_distribution`.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import attacks as attacks_mod
 from . import fock
-from .attacks import Attack, AttackStrategy, EveRoundState, InterceptResendAttack
-from .fock import FockState
+from .attacks import BIT_CASES, Attack, AttackStrategy, Cases
+from .fock import FockState, OutcomeDistribution
 
 ALICE_MODES = ("a1", "a2")  # (stored, traveling)
 BOB_MODES = ("b1", "b2")
@@ -35,9 +42,11 @@ HONEST_COINCIDENCE_SUPPORT = frozenset({(1, 1), (2, 0), (0, 2)})
 DETECTOR_KINDS = ("pnr", "threshold")
 
 
-def random_bit(rng: np.random.Generator) -> int:
-    """Fair ±1 bit (logic 1 <-> +1, logic 0 <-> -1)."""
-    return 1 if rng.random() < 0.5 else -1
+def draw(cases: Cases, rng: np.random.Generator):
+    """One value from a case table; a single-case table consumes no randomness."""
+    if len(cases) == 1:
+        return cases[0][0]
+    return fock.pick(cases, rng.random())
 
 
 @dataclass(frozen=True)
@@ -81,9 +90,15 @@ class RoundRecord:
     announcement: Optional[int]  # detector index 1|2, present only when accepted
     inferred: Optional[int]
     control: Optional[ControlOutcome]
-    eve_knows_n: bool
     photon_anomaly: bool
-    eve: Optional[EveRoundState] = None  # simulator-side bookkeeping, not serialized
+    # Simulator-side bookkeeping, not serialized: the adversary's own counts
+    # (aligned with the attack's eve_ports) and her inference of n.
+    eve_counts: Optional[Tuple[int, ...]] = None
+    eve_learned: Optional[int] = None
+
+    @property
+    def eve_knows_n(self) -> bool:
+        return self.eve_learned is not None
 
     def to_json_dict(self) -> dict:
         """Wire form, one JSON object per round."""
@@ -116,6 +131,8 @@ class SessionConfig:
     def __post_init__(self):
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("control_announce_fraction", "control_count_fraction"):
             f = getattr(self, name)
             if not 0.0 <= f <= 1.0:
@@ -145,17 +162,9 @@ def encoded_pair_state(bit: int, modes: Tuple[str, str], photons: int = 1) -> Fo
     return state
 
 
-def source_photons(device: DeviceModel, rng: np.random.Generator) -> int:
-    if device.p2 > 0.0 and rng.random() < device.p2:
-        return 2
-    return 1
-
-
-def encode_bit(
-    bit: int, modes: Tuple[str, str], device: DeviceModel, rng: np.random.Generator
-) -> FockState:
-    """Encode one bit with the party's source, sampling multiphoton emission."""
-    return encoded_pair_state(bit, modes, source_photons(device, rng))
+def emission_cases(device: DeviceModel) -> Cases:
+    """Photons the party's source emits: two with probability p2, else one."""
+    return tuple((k, p) for k, p in ((2, device.p2), (1, 1.0 - device.p2)) if p > 0.0)
 
 
 def infer_bit(alice_click: int, bob_click: int, m: int) -> int:
@@ -167,17 +176,30 @@ def infer_bit(alice_click: int, bob_click: int, m: int) -> int:
     return m if alice_click == bob_click else -m
 
 
+@functools.lru_cache(maxsize=1024)
+def detector_cases(true_counts: Tuple[int, int], eta: float, detector_kind: str) -> Cases:
+    """What a party's detector pair reports for the given true photon counts:
+    each photon survives with probability eta, and a threshold detector only
+    tells whether anything arrived. Keyed by plain values, not the device,
+    so that a lookup hashes no dataclass."""
+    ports = []
+    for c in true_counts:
+        port: dict = {}
+        for d in range(c + 1):
+            p = math.comb(c, d) * eta**d * (1.0 - eta) ** (c - d)
+            if p > 0.0:
+                key = min(d, 1) if detector_kind == "threshold" else d
+                port[key] = port.get(key, 0.0) + p
+        ports.append(port)
+    pairs = (((d1, d2), p1 * p2) for d1, p1 in ports[0].items() for d2, p2 in ports[1].items())
+    return tuple(case for case in pairs if case[1] > 0.0)
+
+
 def detected_counts(
     true_counts: Tuple[int, int], device: DeviceModel, rng: np.random.Generator
 ) -> Tuple[int, int]:
     """What the party's detector pair reports for the given true photon counts."""
-    if device.eta >= 1.0:
-        det = true_counts
-    else:
-        det = tuple(int(rng.binomial(c, device.eta)) if c else 0 for c in true_counts)
-    if device.detector_kind == "threshold":
-        return tuple(1 if d > 0 else 0 for d in det)
-    return det
+    return draw(detector_cases(true_counts, device.eta, device.detector_kind), rng)
 
 
 def _single_click(reported: Tuple[int, int]) -> Optional[int]:
@@ -187,42 +209,47 @@ def _single_click(reported: Tuple[int, int]) -> Optional[int]:
     return 1 if reported[0] == 1 else 2
 
 
-def channel_state(
-    attack: Attack, n: int, m: int, na: int, nb: int, bits: tuple
-) -> Tuple[FockState, str, str]:
-    """Joint state after encoding and the adversary's channel action.
+def latent_tables(cfg: SessionConfig, attack: Attack) -> List[Cases]:
+    """Case tables of a round's discrete latents, in draw order: the bits n
+    and m, the two source emissions, then the adversary's bits."""
+    return [
+        BIT_CASES,
+        BIT_CASES,
+        emission_cases(cfg.device_alice),
+        emission_cases(cfg.device_bob),
+        *attack.bit_cases,
+    ]
 
-    Returns (state, rail arriving at Alice, rail arriving at Bob). Only valid
-    for non-adaptive attacks; the adaptive strategy measures mid-round.
+
+def latent_distribution(
+    attack: Attack, n: int, m: int, na: int, nb: int, bits: tuple, recombine: bool
+) -> OutcomeDistribution:
+    """Exact joint photon counts on ("a1", rail to Alice, "b1", rail to Bob)
+    followed by the adversary's ports, for one assignment of the latents.
+
+    The channel returns a weighted ensemble of pure states; with `recombine`
+    each branch passes both recombination splitters (count-control rounds
+    skip them).
     """
     state = fock.tensor(
         encoded_pair_state(n, ALICE_MODES, na),
         encoded_pair_state(m, BOB_MODES, nb),
     )
-    return attack.apply(state, bits)
-
-
-def evolved_round_state(
-    attack: Attack, n: int, m: int, na: int, nb: int, bits: tuple
-) -> Tuple[FockState, str, str]:
-    """Pre-measurement state after both recombination beam splitters."""
-    state, to_alice, to_bob = channel_state(attack, n, m, na, nb, bits)
-    state = fock.apply_beam_splitter(state, ALICE_MODES[0], to_alice)
-    state = fock.apply_beam_splitter(state, BOB_MODES[0], to_bob)
-    return state, to_alice, to_bob
-
-
-def _eve_state(
-    attack: Attack, bits: tuple, q: Optional[int], eve_counts: Dict[str, int], learned: Optional[int]
-) -> Optional[EveRoundState]:
-    if isinstance(attack, InterceptResendAttack):
-        p = bits[0]
-        if q is None and len(bits) > 1:
-            q = bits[1]
-        return EveRoundState(p=p, q=q, eve_counts=dict(eve_counts), learned_n=learned)
-    if learned is not None:
-        return EveRoundState(eve_counts=dict(eve_counts), learned_n=learned)
-    return None
+    ensemble, to_alice, to_bob = attack.channel(state, bits)
+    ports = (ALICE_MODES[0], to_alice, BOB_MODES[0], to_bob) + attack.eve_ports
+    entries: dict = {}
+    for branch, weight in ensemble:
+        if recombine:
+            branch = fock.apply_beam_splitter(branch, ALICE_MODES[0], to_alice)
+            branch = fock.apply_beam_splitter(branch, BOB_MODES[0], to_bob)
+        for occ, p in fock.outcome_distribution(branch, ports).entries.items():
+            entries[occ] = entries.get(occ, 0.0) + weight * p
+    total = sum(entries.values())
+    if abs(total - 1.0) > fock.NORM_TOL:
+        raise RuntimeError(
+            f"mixture total {total} drifted past tolerance for latents {(n, m, na, nb, bits)}"
+        )
+    return OutcomeDistribution(ports, entries)
 
 
 def run_round(
@@ -235,77 +262,51 @@ def run_round(
 ) -> RoundRecord:
     """Execute one protocol round under the configured adversary.
 
-    The draw order on `rng` is fixed (control pre-commitment, bits, source
-    emissions, adversary bits, measurements, detector losses, control
-    selection), so a round is a pure function of (cfg, attack, index, seed).
-    `cache` memoizes deterministic state evolution across rounds.
+    The draw order on `rng` is fixed (control pre-commitment, the latents of
+    `latent_tables`, the photon counts, detector reports, control selection),
+    so a round is a pure function of (cfg, attack, index, seed). `cache`
+    memoizes the session's case tables and `latent_distribution` across
+    rounds.
     """
     if cache is None:
         cache = {}
+    tables = cache.get("tables")
+    if tables is None:
+        tables = cache["tables"] = latent_tables(cfg, attack)
     if count_control is None:
         count_control = (
             cfg.control_count_fraction > 0.0 and rng.random() < cfg.control_count_fraction
         )
-    n = random_bit(rng)
-    m = random_bit(rng)
-    na = source_photons(cfg.device_alice, rng)
-    nb = source_photons(cfg.device_bob, rng)
-    bits = attack.draw(rng)
-    branch_q: Optional[int] = None
-
-    if attack.adaptive:
-        dist, to_alice, to_bob, eve_counts, branch_q = _adaptive_channel(
-            attack, n, na, m, nb, bits, rng, cache, recombine=not count_control
-        )
-        measured_ports = ("a1", to_alice, "b1", to_bob)
-        outcome = dist.sample(rng)
-        counts = dict(zip(measured_ports, outcome))
-    else:
-        # The pre-measurement state is a pure function of the round's discrete
-        # draws, so its readout distribution is memoized across rounds.
-        tag = "channel" if count_control else "evolved"
-        key = (tag, n, m, na, nb, bits)
-        hit = cache.get(key)
-        if hit is None:
-            builder = channel_state if count_control else evolved_round_state
-            state, to_alice, to_bob = builder(attack, n, m, na, nb, bits)
-            if abs(state.norm() - 1.0) > fock.NORM_TOL:
-                raise RuntimeError(
-                    f"state norm {state.norm()} drifted past tolerance in round setup {key}"
-                )
-            ports = ("a1", to_alice, "b1", to_bob) + attack.eve_ports
-            hit = (fock.outcome_distribution(state, ports), to_alice, to_bob)
-            cache[key] = hit
-        dist, to_alice, to_bob = hit
-        outcome = dist.sample(rng)
-        counts = dict(zip(dist.modes, outcome))
-        eve_counts = {p: counts[p] for p in attack.eve_ports}
+    n, m, na, nb, *bits = [draw(cases, rng) for cases in tables]
+    bits = tuple(bits)
+    key = (n, m, na, nb, bits, not count_control)
+    dist = cache.get(key)
+    if dist is None:
+        dist = cache[key] = latent_distribution(attack, *key)
+    counts = dist.sample(rng)  # (a1, rail to Alice, b1, rail to Bob, *eve_ports)
+    eve_counts = counts[4:] or None
 
     if count_control:
         # Destructive check: no recombination, direct photon counts compared
         # across the channel. Each source emits exactly one photon (ideal
         # source), so stored + counterpart-received must total 1 per party.
-        flagged = (
-            counts["a1"] + counts[to_bob] != 1 or counts["b1"] + counts[to_alice] != 1
-        )
-        eve = _eve_state(attack, bits, branch_q, eve_counts, None)
+        flagged = counts[0] + counts[3] != 1 or counts[2] + counts[1] != 1
         return RoundRecord(
             round_index=index,
             n=n,
             m=m,
-            alice_counts=(counts["a1"], counts[to_alice]),
-            bob_counts=(counts["b1"], counts[to_bob]),
+            alice_counts=counts[:2],
+            bob_counts=counts[2:4],
             accepted=False,
             announcement=None,
             inferred=None,
             control=ControlOutcome("photon-count-check", flagged),
-            eve_knows_n=False,
             photon_anomaly=False,
-            eve=eve,
+            eve_counts=eve_counts,
         )
 
-    alice_rep = detected_counts((counts["a1"], counts[to_alice]), cfg.device_alice, rng)
-    bob_rep = detected_counts((counts["b1"], counts[to_bob]), cfg.device_bob, rng)
+    alice_rep = detected_counts(counts[:2], cfg.device_alice, rng)
+    bob_rep = detected_counts(counts[2:4], cfg.device_bob, rng)
     alice_res = _single_click(alice_rep)
     bob_res = _single_click(bob_rep)
     accepted = alice_res is not None and bob_res is not None
@@ -313,11 +314,10 @@ def run_round(
 
     control = None
     if accepted and cfg.control_announce_fraction > 0.0:
+        # Announce-bit verification: Alice also reveals n and Bob checks his
+        # inference against it.
         if rng.random() < cfg.control_announce_fraction:
             control = ControlOutcome("announce-bit", flagged=(inferred != n))
-
-    learned = attack.learn(bits, eve_counts, alice_res)
-    eve = _eve_state(attack, bits, branch_q, eve_counts, learned)
 
     return RoundRecord(
         round_index=index,
@@ -329,58 +329,10 @@ def run_round(
         announcement=alice_res if accepted else None,
         inferred=inferred,
         control=control,
-        eve_knows_n=learned is not None,
         photon_anomaly=(sum(alice_rep), sum(bob_rep)) not in HONEST_COINCIDENCE_SUPPORT,
-        eve=eve,
+        eve_counts=eve_counts,
+        eve_learned=attack.learn(bits, eve_counts, alice_res),
     )
-
-
-def _adaptive_channel(attack, n, na, m, nb, bits, rng, cache, recombine):
-    """Devil-style channel: Eve measures her side, then chooses the resend."""
-    p = bits[0]
-    key1 = ("stage1", n, na, p)
-    hit = cache.get(key1)
-    if hit is None:
-        state1 = attack.alice_side(encoded_pair_state(n, ALICE_MODES, na), p)
-        hit = (state1, fock.outcome_distribution(state1, attack.eve_ports))
-        cache[key1] = hit
-    state1, dist1 = hit
-    eve_outcome = dist1.sample(rng)
-    eve_counts = dict(zip(attack.eve_ports, eve_outcome))
-    content, branch_q = attack.resend(sum(eve_outcome), rng)
-    to_alice, to_bob = "e2", "e4"
-    key2 = ("stage2", n, na, p, eve_outcome, m, nb, branch_q, recombine)
-    dist = cache.get(key2)
-    if dist is None:
-        ckey = ("collapsed", n, na, p, eve_outcome)
-        collapsed = cache.get(ckey)
-        if collapsed is None:
-            _, collapsed = fock.project_onto(state1, attack.eve_ports, eve_outcome)
-            cache[ckey] = collapsed
-        state = fock.tensor(collapsed, encoded_pair_state(m, BOB_MODES, nb), content)
-        if recombine:
-            state = fock.apply_beam_splitter(state, ALICE_MODES[0], to_alice)
-            state = fock.apply_beam_splitter(state, BOB_MODES[0], to_bob)
-        dist = fock.outcome_distribution(state, ("a1", to_alice, "b1", to_bob))
-        cache[key2] = dist
-    return dist, to_alice, to_bob, eve_counts, branch_q
-
-
-def control_announce(record: RoundRecord) -> ControlOutcome:
-    """Announce-bit verification on an accepted round: Alice also reveals n
-    and Bob checks his click against the inference table."""
-    if not record.accepted or record.inferred is None:
-        raise ValueError("announce-bit control needs an accepted round")
-    return ControlOutcome("announce-bit", flagged=(record.inferred != record.n))
-
-
-def control_photon_count(
-    cfg: SessionConfig, attack: Attack, rng: np.random.Generator
-) -> ControlOutcome:
-    """Run one destructive photon-count control round."""
-    rec = run_round(cfg, attack, 0, rng, count_control=True)
-    assert rec.control is not None
-    return rec.control
 
 
 def round_rng(seed: int, index: int) -> np.random.Generator:

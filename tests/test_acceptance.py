@@ -92,8 +92,14 @@ def _port_occ(ab1, ab2, ba1, ba2):
 def test_recombined_state_exactness():
     for n in (1, -1):
         for m in (1, -1):
-            state, to_alice, to_bob = protocol.evolved_round_state(NullAttack(), n, m, 1, 1, ())
-            assert (to_alice, to_bob) == ("b2", "a2")
+            state = fock.tensor(
+                protocol.encoded_pair_state(n, protocol.ALICE_MODES),
+                protocol.encoded_pair_state(m, protocol.BOB_MODES),
+            )
+            [(state, weight)], to_alice, to_bob = NullAttack().channel(state, ())
+            assert weight == 1.0 and (to_alice, to_bob) == ("b2", "a2")
+            state = fock.apply_beam_splitter(state, "a1", to_alice)
+            state = fock.apply_beam_splitter(state, "b1", to_bob)
             expected = {
                 _port_occ(1, 0, 1, 0): (m * n + 1) / 4,
                 _port_occ(0, 1, 0, 1): (m * n + 1) / 4,
@@ -108,6 +114,12 @@ def test_recombined_state_exactness():
             assert set(state.amplitudes) == support  # ket/sign structure
             for occ, value in expected.items():
                 assert abs(state.amplitude(occ) - value) <= 1e-12
+            # the sampler's per-latent distribution is the Born rule of this
+            # state, on ports (a1, b2, b1, a2)
+            dist = protocol.latent_distribution(NullAttack(), n, m, 1, 1, (), recombine=True)
+            assert dist.modes == ("a1", "b2", "b1", "a2")
+            for occ, value in expected.items():
+                assert abs(dist.probability((occ[0], occ[3], occ[2], occ[1])) - value**2) <= 1e-12
 
 
 @criterion(2, "honest run: sift 0.5, QBER 0, blind announcements, E = 1/3")
@@ -166,8 +178,8 @@ def test_intercept_resend():
     assert abs(summary.eve_info_per_round - 0.5) <= 0.01
     assert abs(summary.qber - 0.5) <= 0.01
     assert abs(summary.coincidence_histogram.get((1, 1), 0.0) - 0.25) <= 0.01
-    learned = [r for r in records if r.eve is not None and r.eve.learned_n is not None]
-    assert all(r.eve.learned_n == r.n for r in learned)
+    learned = [r for r in records if r.eve_learned is not None]
+    assert all(r.eve_learned == r.n for r in learned)
 
 
 @criterion(5, "adaptive devil: exact count complementarity, half the rounds anomalous")
@@ -175,7 +187,7 @@ def test_adaptive_devil():
     records, _ = get_session("devil")
     for r in records:
         if r.control is None:
-            assert sum(r.alice_counts) + r.eve.alice_side_total() == 2
+            assert sum(r.alice_counts) + sum(r.eve_counts[:2]) == 2
     dist = analysis.exact_readout_distribution(SCENARIOS["devil"])
     exact_anomaly = 1.0 - sum(
         p for (ra, rb), p in dist.items()

@@ -17,6 +17,16 @@ from vopqkd.attacks import (
 from vopqkd.protocol import HONEST_COINCIDENCE_SUPPORT, SessionConfig, run_session
 
 
+def channel_ensemble(attack, n, m, bits):
+    """The adversary's ensemble for one-photon sources encoding n and m."""
+    state = fock.tensor(
+        protocol.encoded_pair_state(n, protocol.ALICE_MODES),
+        protocol.encoded_pair_state(m, protocol.BOB_MODES),
+    )
+    ensemble, _, _ = attack.channel(state, bits)
+    return ensemble
+
+
 def session(kind=None, rounds=20000, seed=17, strategy=None, **kw):
     attack = strategy if strategy is not None else AttackStrategy(kind=kind or "none", **kw)
     return run_session(SessionConfig(rounds=rounds, seed=seed, attack=attack))
@@ -52,8 +62,8 @@ class TestStrategyConfig:
 class TestNullAttack:
     def test_identity_on_state(self):
         s = fock.one_photon_pair(("a2", "b2"), 1)
-        out, to_alice, to_bob = NullAttack().apply(s, ())
-        assert out.amplitudes == s.amplitudes
+        [(out, weight)], to_alice, to_bob = NullAttack().channel(s, ())
+        assert out.amplitudes == s.amplitudes and weight == 1.0
         assert (to_alice, to_bob) == ("b2", "a2")
 
     def test_phase_zero_bit_identical_to_none(self):
@@ -107,8 +117,8 @@ class TestPhaseAttack:
         strategy = AttackStrategy(
             kind="phase", phi=1.1, channels=("alice-to-bob", "bob-to-alice")
         )
-        state, _, _ = protocol.evolved_round_state(build(strategy), 1, -1, 1, 1, ())
-        assert abs(state.norm() - 1.0) < 1e-10
+        dist = protocol.latent_distribution(build(strategy), 1, -1, 1, 1, (), recombine=True)
+        assert abs(dist.total() - 1.0) < 1e-10
 
 
 class TestInterceptResend:
@@ -118,13 +128,13 @@ class TestInterceptResend:
 
     def test_learned_bit_always_correct(self):
         records, _ = session("mitm", rounds=8000)
-        learned = [r for r in records if r.eve is not None and r.eve.learned_n is not None]
+        learned = [r for r in records if r.eve_learned is not None]
         assert learned
-        assert all(r.eve.learned_n == r.n for r in learned)
+        assert all(r.eve_learned == r.n for r in learned)
         # complementarity: her side count 1 exactly when Alice counts 1
         for r in records:
             if r.control is None:
-                assert (r.eve.alice_side_total() == 1) == (sum(r.alice_counts) == 1)
+                assert (sum(r.eve_counts[:2]) == 1) == (sum(r.alice_counts) == 1)
 
     def test_sifted_qber_is_half(self):
         _, summary = session("mitm")
@@ -145,7 +155,7 @@ class TestAdaptiveDevil:
         records, _ = session("devil", rounds=8000)
         for r in records:
             if r.control is None:
-                assert sum(r.alice_counts) + r.eve.alice_side_total() == 2
+                assert sum(r.alice_counts) + sum(r.eve_counts[:2]) == 2
 
     def test_anomaly_rate_matches_oracle(self):
         cfg = SessionConfig(rounds=20000, seed=29, attack=AttackStrategy(kind="devil"))
@@ -210,12 +220,16 @@ class TestStatePreservation:
         strategy = AttackStrategy(kind=kind, phi=0.7)
         attack = build(strategy)
         bits = (1, -1) if kind == "mitm" else ()
-        state, _, _ = protocol.channel_state(attack, 1, -1, 1, 1, bits)
+        [(state, weight)] = channel_ensemble(attack, 1, -1, bits)
+        assert weight == 1.0
         assert abs(state.norm() - 1.0) < 1e-10
 
     def test_devil_stage_states_normalized(self):
         attack = build(AttackStrategy(kind="devil"))
         for n in (1, -1):
             for p in (1, -1):
-                s1 = attack.alice_side(protocol.encoded_pair_state(n, ("a1", "a2"), 1), p)
-                assert abs(s1.norm() - 1.0) < 1e-10
+                ensemble = channel_ensemble(attack, n, 1, (p,))
+                assert len(ensemble) > 1  # one branch per (her count, resend case)
+                assert abs(sum(w for _, w in ensemble) - 1.0) < 1e-10
+                for state, _ in ensemble:
+                    assert abs(state.norm() - 1.0) < 1e-10

@@ -69,6 +69,24 @@ class TestParsing:
         assert cfg.attack == "phase"
         assert abs(cfg.phi - math.pi / 2) < 1e-12
 
+    def test_single_channel_string_in_config(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"attack": "phase", "phi": 1.0, "channels": "bob-to-alice"}))
+        cfg = parse(["run", "--config", str(path), "--seed", "1"])
+        assert cfg.channels == ("bob-to-alice",)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--attack", "mitm", "--phi", "0.5"],
+            ["--phi", "0.5"],
+            ["--attack", "devil", "--channels", "bob-to-alice"],
+        ],
+    )
+    def test_phase_flags_need_phase_attack(self, flags):
+        with pytest.raises(UsageError):
+            parse(["run", "--seed", "1", *flags])
+
     def test_acceptance_scenarios_round_trip(self, tmp_path):
         # every scenario shape the acceptance gate exercises survives the
         # config-file round trip unchanged
@@ -157,6 +175,28 @@ class TestExecution:
     def test_abort_flag_without_detection(self):
         argv = ["run", "--rounds", "400", "--seed", "6", "--abort-on-detection"]
         assert main(argv) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, content",
+    [
+        (["run", "--rounds", "10", "--seed", "-1"], None),
+        (["run", "--seed", "1", "--config", "{path}"], {"rounds": "abc"}),
+        (["run", "--seed", "1", "--config", "{path}"], {"rounds": 1.5}),
+        (["run", "--rounds", "10", "--seed", "1", "--attack", "mitm", "--phi", "1"], None),
+        (["report", "{path}"], [1, 2]),
+        (["report", "{path}"], {}),
+    ],
+    ids=["negative-seed", "string-rounds", "float-rounds", "phi-without-phase",
+         "summary-list", "summary-empty"],
+)
+def test_bad_input_exits_with_usage_error(tmp_path, capsys, argv, content):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    assert main([a.format(path=path) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert "error: " in err
+    assert "Traceback" not in err
 
 
 class TestReport:

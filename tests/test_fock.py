@@ -13,7 +13,6 @@ from vopqkd.fock import (
     basis_state,
     from_amplitudes,
     make_single_photon,
-    measure_modes,
     one_photon_pair,
     outcome_distribution,
     project_onto,
@@ -216,8 +215,10 @@ class TestMeasurement:
     def test_deterministic_state(self):
         rng = np.random.default_rng(0)
         s = basis_state(("x", "y"), (1, 0))
-        counts, post = measure_modes(s, ("x", "y"), rng)
+        counts = outcome_distribution(s, ("x", "y")).sample(rng)
         assert counts == (1, 0)
+        prob, post = project_onto(s, ("x", "y"), counts)
+        assert prob == 1.0
         assert post.amplitudes == s.amplitudes
 
     def test_collapse_follows_correlations(self):
@@ -229,10 +230,6 @@ class TestMeasurement:
         # Bob's photon collapsed onto his first output port (b1)
         assert abs(abs(post.amplitude((1, 0, 1, 0))) - 1.0) < 1e-12
 
-    def test_empty_mode_list_rejected(self):
-        with pytest.raises(fock.ModeError):
-            measure_modes(vacuum(("x",)), (), np.random.default_rng(0))
-
     def test_sampling_matches_distribution(self):
         s = tensor(one_photon_pair(("a1", "a2"), 1), one_photon_pair(("b1", "b2"), -1))
         s = apply_beam_splitter(s, "a1", "b2")
@@ -243,7 +240,7 @@ class TestMeasurement:
         n = 20000
         freq = {}
         for _ in range(n):
-            counts, _ = measure_modes(s, modes, rng)
+            counts = dist.sample(rng)
             freq[counts] = freq.get(counts, 0) + 1
         empirical = {k: v / n for k, v in freq.items()}
         assert dist.tv_distance(empirical) < 0.02
@@ -253,20 +250,7 @@ class TestMeasurement:
         runs = []
         for _ in range(2):
             rng = np.random.default_rng(123)
-            runs.append([measure_modes(s, ("x", "y"), rng)[0] for _ in range(200)])
+            dist = outcome_distribution(s, ("x", "y"))
+            runs.append([dist.sample(rng) for _ in range(200)])
         assert runs[0] == runs[1]
 
-
-class TestDump:
-    def test_dump_matches_golden_lines(self):
-        s = apply_beam_splitter(basis_state(("x", "y"), (2, 0)), "x", "y")
-        assert s.dump_lines() == [
-            "(0, 2) 0.5 0",
-            "(1, 1) 0.70710678118654746 0",
-            "(2, 0) 0.5 0",
-        ]
-
-    def test_renamed_keeps_amplitudes(self):
-        s = one_photon_pair(("x", "y"), -1).renamed({"x": "u"})
-        assert s.registry == ("u", "y")
-        assert abs(s.amplitude((1, 0)) + 1 / R2) < 1e-15

@@ -11,9 +11,8 @@ from vopqkd.attacks import Attack, AttackStrategy, NullAttack
 from vopqkd.protocol import (
     DeviceModel,
     SessionConfig,
-    control_announce,
-    control_photon_count,
-    encode_bit,
+    draw,
+    emission_cases,
     encoded_pair_state,
     infer_bit,
     detected_counts,
@@ -33,12 +32,12 @@ def honest_config(rounds=20000, seed=7, **kw):
 
 class TestEncoding:
     def test_plus_bit_carrier(self):
-        s = encode_bit(1, ("a1", "a2"), IDEAL, np.random.default_rng(0))
+        s = encoded_pair_state(1, ("a1", "a2"), draw(emission_cases(IDEAL), np.random.default_rng(0)))
         assert abs(s.amplitude((0, 1)) - 1 / R2) < 1e-12
         assert abs(s.amplitude((1, 0)) - 1 / R2) < 1e-12
 
     def test_minus_bit_carrier(self):
-        s = encode_bit(-1, ("a1", "a2"), IDEAL, np.random.default_rng(0))
+        s = encoded_pair_state(-1, ("a1", "a2"), draw(emission_cases(IDEAL), np.random.default_rng(0)))
         assert abs(s.amplitude((0, 1)) - 1 / R2) < 1e-12
         assert abs(s.amplitude((1, 0)) + 1 / R2) < 1e-12
 
@@ -61,9 +60,7 @@ class TestEncoding:
     def test_two_photon_probability_sampled(self):
         rng = np.random.default_rng(3)
         device = DeviceModel(p2=0.25)
-        doubles = sum(
-            1 for _ in range(4000) if 2 in encode_bit(1, ("x", "y"), device, rng).total_photons()
-        )
+        doubles = sum(1 for _ in range(4000) if draw(emission_cases(device), rng) == 2)
         assert abs(doubles / 4000 - 0.25) < 0.03
 
     def test_invalid_bit(self):
@@ -168,11 +165,15 @@ class TestControls:
         assert summary.controls_flagged["announce-bit"] == 0
 
     def test_control_announce_op(self):
-        records, _ = run_session(honest_config(rounds=500))
-        rec = next(r for r in records if r.accepted)
-        assert control_announce(rec).flagged is False
-        rec.inferred = -rec.n
-        assert control_announce(rec).flagged is True
+        # an announce-bit control flags exactly the accepted rounds whose
+        # inference disagrees with the bit Alice reveals
+        cfg = honest_config(
+            rounds=2000, attack=AttackStrategy("phase", math.pi / 2), control_announce_fraction=1.0
+        )
+        records, _ = run_session(cfg)
+        controls = [r for r in records if r.control is not None]
+        assert all(r.accepted and r.control.flagged == (r.inferred != r.n) for r in controls)
+        assert {r.control.flagged for r in controls} == {False, True}
 
     def test_count_control_honest_statistics(self):
         cfg = honest_config(rounds=20000, control_count_fraction=1.0)
@@ -191,9 +192,9 @@ class TestControls:
     def test_count_control_flags_severed_channel(self):
         class ChannelCut(Attack):
             # both traveling rails dumped; the parties receive vacuum
-            def apply(self, state, bits):
+            def channel(self, state, bits):
                 state = fock.tensor(state, fock.vacuum(("v1", "v2")))
-                return state, "v1", "v2"
+                return [(state, 1.0)], "v1", "v2"
 
         cfg = honest_config()
         flags = []
