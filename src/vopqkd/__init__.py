@@ -29,11 +29,12 @@ from .fock import (
 from .protocol import (
     ControlOutcome,
     DeviceModel,
+    RoundEngine,
     RoundRecord,
+    Rounds,
     SessionConfig,
     infer_bit,
     latent_distribution,
-    run_round,
     run_session,
     run_session_sharded,
 )

@@ -1,7 +1,7 @@
 """Aggregate statistics, security metrics, and exact-oracle cross-checks.
 
-Summaries are pure folds over round records, so partial results from
-sharded sessions merge by concatenating record lists. The oracle side
+Summaries are pure folds over the columns of a block of rounds, so partial
+results from sharded sessions merge by concatenating the blocks. The oracle side
 computes exact Born-rule distributions for a scenario by summing over the
 sampler's own case tables and per-latent distributions, and compares them
 with Monte-Carlo frequencies.
@@ -9,18 +9,18 @@ with Monte-Carlo frequencies.
 
 from __future__ import annotations
 
+import collections
 import io
 import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import attacks as attacks_mod
 from . import protocol
-from .protocol import RoundRecord, SessionConfig
-
-ANNOUNCE = "announce-bit"
-COUNT = "photon-count-check"
+from .protocol import ANNOUNCE, CONTROL_KINDS, COUNT, RoundEngine, RoundRecord, Rounds, SessionConfig
 
 # Efficiency yardsticks: best BB84 accounting and the differential-phase-shift
 # scheme without active switches, as plain reported constants.
@@ -104,40 +104,38 @@ def sifted_keys(records: Sequence[RoundRecord]) -> Tuple[List[int], List[int]]:
     return [r.n for r in sift], [r.inferred for r in sift]
 
 
-def summarize(records: Sequence[RoundRecord]) -> SessionSummary:
-    """Fold a session's records into the summary statistics."""
-    if not records:
-        raise ValueError("cannot summarize an empty record list")
-    total = len(records)
-    accepted = sum(1 for r in records if r.accepted)
-    sift = sifted_records(records)
-    compared = [r for r in sift if r.inferred is not None]
-    errors = sum(1 for r in compared if r.inferred != r.n)
-    qber = errors / len(compared) if compared else 0.0
+def summarize(rounds: Rounds) -> SessionSummary:
+    """Fold a session's rounds into the summary statistics."""
+    if not len(rounds):
+        raise ValueError("cannot summarize an empty block of rounds")
+    total = len(rounds)
+    accepted = int(rounds.accepted.sum())
+    sift = rounds.accepted & (rounds.control_kind == 0)  # every sifted round has an inference
+    sifted = int(sift.sum())
+    errors = int((rounds.inferred[sift] != rounds.n[sift]).sum())
+    qber = errors / sifted if sifted else 0.0
 
-    controls_run = {ANNOUNCE: 0, COUNT: 0}
-    controls_flagged = {ANNOUNCE: 0, COUNT: 0}
-    for r in records:
-        if r.control is not None:
-            controls_run[r.control.kind] += 1
-            if r.control.flagged:
-                controls_flagged[r.control.kind] += 1
+    runs = np.bincount(rounds.control_kind, minlength=len(CONTROL_KINDS))
+    flags = np.bincount(rounds.control_kind[rounds.control_flagged], minlength=len(CONTROL_KINDS))
+    controls_run = {kind: int(runs[CONTROL_KINDS.index(kind)]) for kind in (ANNOUNCE, COUNT)}
+    controls_flagged = {kind: int(flags[CONTROL_KINDS.index(kind)]) for kind in (ANNOUNCE, COUNT)}
 
-    hist: Dict[Tuple[int, int], float] = {}
-    for r in records:
-        key = (sum(r.alice_counts), sum(r.bob_counts))
-        hist[key] = hist.get(key, 0.0) + 1.0
-    hist = {k: v / total for k, v in hist.items()}
+    alice_totals = rounds.alice_counts.sum(axis=1, dtype=np.int64)
+    bob_totals = rounds.bob_counts.sum(axis=1, dtype=np.int64)
+    base = int(bob_totals.max()) + 1
+    hist = {
+        divmod(code, base): k / total
+        for code, k in enumerate(np.bincount(alice_totals * base + bob_totals).tolist()) if k
+    }
 
+    knows = rounds.eve_learned != 0
     return SessionSummary(
         rounds_total=total,
         accepted=accepted,
         sift_rate=accepted / total,
         qber=qber,
-        eve_info_per_round=sum(1 for r in records if r.eve_knows_n) / total,
-        eve_info_per_sifted_bit=(
-            sum(1 for r in sift if r.eve_knows_n) / len(sift) if sift else 0.0
-        ),
+        eve_info_per_round=int(knows.sum()) / total,
+        eve_info_per_sifted_bit=int(knows[sift].sum()) / sifted if sifted else 0.0,
         controls_run=controls_run,
         controls_flagged=controls_flagged,
         p_undetected_model=0.5 ** controls_run[ANNOUNCE],
@@ -217,17 +215,20 @@ Readout = Tuple[CountsPair, CountsPair]
 EveCounts = Tuple[int, ...]
 
 
-def exact_joint_distribution(cfg: SessionConfig) -> Dict[Tuple[Readout, EveCounts], float]:
+def exact_joint_distribution(
+    cfg: SessionConfig, engine: Optional[RoundEngine] = None
+) -> Dict[Tuple[Readout, EveCounts], float]:
     """Exact joint distribution of the device-reported (alice_counts,
     bob_counts) and the adversary's own counts for one round: the sampler's
-    case tables and `latent_distribution`, summed instead of drawn."""
-    attack = attacks_mod.build(cfg.attack)
+    case tables and `latent_distribution`, summed instead of drawn. Pass the
+    `engine` that sampled the session to reuse its latent distributions."""
+    engine = engine or RoundEngine(cfg)
     alice, bob = cfg.device_alice, cfg.device_bob
     acc: Dict[Tuple[Readout, EveCounts], float] = {}
-    for latents in itertools.product(*protocol.latent_tables(cfg, attack)):
+    for latents in itertools.product(*engine.tables):
         weight = math.prod(p for _, p in latents)
         n, m, na, nb, *bits = (value for value, _ in latents)
-        dist = protocol.latent_distribution(attack, n, m, na, nb, tuple(bits), recombine=True)
+        dist = engine.distribution(n, m, na, nb, tuple(bits), recombine=True)
         for occ, p in dist.entries.items():
             for ra, pa in protocol.detector_cases(occ[:2], alice.eta, alice.detector_kind):
                 for rb, pb in protocol.detector_cases(occ[2:4], bob.eta, bob.detector_kind):
@@ -274,42 +275,43 @@ def _stage(name: str, exact: Dict, empirical_counts: Dict, total: int, fmt) -> O
     return OracleStage(name, rows, tv)
 
 
-def oracle_check(cfg: SessionConfig, records: Optional[Sequence[RoundRecord]] = None) -> List[OracleStage]:
+def _row_counts(rows: np.ndarray) -> Dict[tuple, int]:
+    """How often each distinct row of a 2-D integer array occurs."""
+    return dict(collections.Counter(map(tuple, rows.tolist())))
+
+
+def oracle_check(cfg: SessionConfig, records: Optional[Rounds] = None) -> List[OracleStage]:
     """Compare exact per-stage distributions against Monte-Carlo frequencies.
 
-    Runs the session when `records` is not supplied. Count-control rounds
-    measure a different observable and are excluded from the comparison.
+    Runs the session when `records` is not supplied, sharing the engine's
+    latent distributions with the oracle. Count-control rounds measure a
+    different observable and are excluded from the comparison.
     """
-    if records is None:
-        records, _ = protocol.run_session(cfg)
-    normal = [r for r in records if r.control is None or r.control.kind != COUNT]
-    joint = exact_joint_distribution(cfg)
+    engine = RoundEngine(cfg)
+    rounds = engine.rounds(0, cfg.rounds) if records is None else records
+    normal = rounds.control_kind != CONTROL_KINDS.index(COUNT)
+    total = int(normal.sum())
+    joint = exact_joint_distribution(cfg, engine)
     stages = []
 
-    readout_counts: Dict[Readout, int] = {}
-    for r in normal:
-        key = (tuple(r.alice_counts), tuple(r.bob_counts))
-        readout_counts[key] = readout_counts.get(key, 0) + 1
+    readouts = _row_counts(np.hstack([rounds.alice_counts[normal], rounds.bob_counts[normal]]))
     stages.append(
         _stage(
             "readout",
             _marginal(joint, 0),
-            readout_counts,
-            len(normal),
+            {((a1, a2), (b1, b2)): k for (a1, a2, b1, b2), k in readouts.items()},
+            total,
             lambda k: "a{}{}-b{}{}".format(k[0][0], k[0][1], k[1][0], k[1][1]),
         )
     )
 
-    if attacks_mod.build(cfg.attack).eve_ports:
-        eve_counts: Dict[EveCounts, int] = {}
-        for r in normal:
-            eve_counts[r.eve_counts] = eve_counts.get(r.eve_counts, 0) + 1
+    if engine.attack.eve_ports:
         stages.append(
             _stage(
                 "eve-counts",
                 _marginal(joint, 1),
-                eve_counts,
-                len(normal),
+                _row_counts(rounds.eve_counts[normal]),
+                total,
                 lambda k: "e" + "".join(str(c) for c in k),
             )
         )

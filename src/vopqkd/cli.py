@@ -16,7 +16,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
-from typing import Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from . import analysis
 from . import protocol
@@ -32,6 +32,8 @@ EXIT_DETECTED = 3
 class UsageError(Exception):
     pass
 
+
+FORMATS = ("json", "jsonl", "csv")
 
 _NUMBER = (int, float)
 # JSON types each config key accepts.
@@ -84,12 +86,18 @@ class ScenarioConfig:
         merged = (base or cls()).to_flat_dict()
         merged.update(data)
         channels = merged["channels"]
-        merged["channels"] = (channels,) if isinstance(channels, str) else tuple(channels)
+        if isinstance(channels, str):
+            channels = [channels]
+        # A list of names becomes a tuple; anything else fails the type check.
+        if isinstance(channels, (list, tuple)) and all(isinstance(c, str) for c in channels):
+            merged["channels"] = tuple(channels)
         for key, value in merged.items():
             # bool is an int subclass: accept it for the one boolean key only
             wrong_bool = isinstance(value, bool) != (key == "abort_on_detection")
             if wrong_bool or not isinstance(value, _KEY_TYPES[key]):
                 raise UsageError(f"configuration key {key!r} has an invalid value {value!r}")
+        if merged["format"] not in FORMATS:
+            raise UsageError(f"configuration key 'format' must be one of {FORMATS}")
         return cls(**merged)
 
     def session_config(self) -> SessionConfig:
@@ -142,7 +150,7 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--control-count-fraction", type=float)
     p.add_argument("--abort-on-detection", action="store_true", default=None)
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=("json", "jsonl", "csv"))
+    p.add_argument("--format", choices=FORMATS)
 
 
 def build_parser() -> _Parser:
@@ -196,23 +204,23 @@ def parse_config(args: argparse.Namespace) -> ScenarioConfig:
     return cfg
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(chunks: Iterable[str], out: Optional[str]) -> None:
+    """Write text chunks, one at a time, to `out` or stdout."""
     if out:
         with open(out, "w") as f:
-            f.write(text)
+            f.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def execute_run(cfg: ScenarioConfig) -> int:
     if cfg.format == "csv":
         raise UsageError("format csv belongs to the oracle subcommand")
-    records, summary = protocol.run_session(cfg.session_config())
+    rounds, summary = protocol.run_session(cfg.session_config())
     if cfg.format == "jsonl":
-        text = "".join(json.dumps(r.to_json_dict()) + "\n" for r in records)
+        _emit(rounds.jsonl_chunks(), cfg.out)
     else:
-        text = json.dumps(summary.to_json_dict(), indent=2) + "\n"
-    _emit(text, cfg.out)
+        _emit([json.dumps(summary.to_json_dict(), indent=2) + "\n"], cfg.out)
     if cfg.abort_on_detection and sum(summary.controls_flagged.values()) > 0:
         sys.stderr.write("eavesdropper detected by control rounds; aborting\n")
         return EXIT_DETECTED
@@ -223,7 +231,7 @@ def execute_oracle(cfg: ScenarioConfig) -> int:
     if cfg.format not in ("csv", "json"):
         raise UsageError("oracle emits csv (use --format csv)")
     stages = analysis.oracle_check(cfg.session_config())
-    _emit(analysis.oracle_csv(stages), cfg.out)
+    _emit([analysis.oracle_csv(stages)], cfg.out)
     return EXIT_OK
 
 

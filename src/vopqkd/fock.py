@@ -4,21 +4,17 @@ States live on a fixed, ordered registry of named optical modes and are
 stored as sparse maps from photon occupation tuples to complex amplitudes.
 Unitaries (50:50 beam splitter, phase shifter) are exact at double
 precision; photon-counting outcomes come as exact Born-rule distributions,
-sampled only through an explicit numpy Generator, so everything is
-reproducible and side-effect free.
+which the protocol layer samples, so everything is reproducible and
+side-effect free.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, Sequence, Tuple, TypeVar
-
-if TYPE_CHECKING:  # annotations only; `protocol` imports numpy at run time
-    import numpy as np
+from typing import Dict, Sequence, Tuple
 
 Occupation = Tuple[int, ...]
-T = TypeVar("T")
 
 # Protocol states never hold more than 4 photons in one mode (two two-photon
 # sources at most); exceeding the cap means the optical network is miswired.
@@ -185,16 +181,6 @@ def apply_phase_shift(state: FockState, mode: str, phi: float) -> FockState:
     return FockState(state.registry, _pruned(out))
 
 
-def pick(cases: Iterable[Tuple[T, float]], u: float) -> T:
-    """The value of the (value, probability) case whose cumulative interval holds u."""
-    acc = 0.0
-    for value, p in cases:
-        acc += p
-        if u < acc:
-            return value
-    return value  # guard against rounding at u ~ 1
-
-
 @dataclass(frozen=True)
 class OutcomeDistribution:
     """Exact Born-rule probabilities for joint photon counts on a mode subset."""
@@ -207,10 +193,6 @@ class OutcomeDistribution:
 
     def probability(self, outcome: Occupation) -> float:
         return self.entries.get(tuple(outcome), 0.0)
-
-    def sample(self, rng: np.random.Generator) -> Occupation:
-        """One outcome; always consumes exactly one uniform from `rng`."""
-        return pick(self.entries.items(), rng.random())
 
     def tv_distance(self, empirical: Dict[Occupation, float]) -> float:
         keys = set(self.entries) | set(empirical)

@@ -15,16 +15,18 @@ correlation).
 
 Every random step of a round (the bits, the source emissions, the
 adversary's bits, detector reports) is one case table [(value, prob)]. The
-sampler draws from the tables; the exact oracle in `analysis` sums over the
-same tables and the same `latent_distribution`.
+engine draws whole blocks of rounds from the tables as numpy columns; the
+exact oracle in `analysis` sums over the same tables and the same
+`latent_distribution`.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, fields
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,12 +43,53 @@ HONEST_COINCIDENCE_SUPPORT = frozenset({(1, 1), (2, 0), (0, 2)})
 
 DETECTOR_KINDS = ("pnr", "threshold")
 
+ANNOUNCE = "announce-bit"
+COUNT = "photon-count-check"
+CONTROL_KINDS = (None, ANNOUNCE, COUNT)  # codes of the `Rounds.control_kind` column
 
-def draw(cases: Cases, rng: np.random.Generator):
-    """One value from a case table; a single-case table consumes no randomness."""
-    if len(cases) == 1:
-        return cases[0][0]
-    return fock.pick(cases, rng.random())
+# Each round reads a fixed budget of uniforms, one slot per random quantity,
+# whatever branch it takes, so a round depends only on (config, seed, index)
+# and shard boundaries cannot shift the stream. Round i reads the doubles at
+# offset 12*i of the Philox stream keyed by the seed: a Philox counter step
+# yields 4 doubles, so round i starts at counter 3*i.
+UNIFORMS_PER_ROUND = 12
+SLOT_COUNT_CONTROL = 0
+SLOT_LATENTS = 1  # n, m, the two emissions, then the adversary's bits
+LATENT_SLOTS = 7
+SLOT_OUTCOME = 8  # the joint photon counts given the latents
+SLOT_DETECTOR_ALICE = 9
+SLOT_DETECTOR_BOB = 10
+SLOT_ANNOUNCE = 11
+
+SEED_LIMIT = 2**64  # Philox keys are 128-bit; the CLI seed is one 64-bit word
+
+# Rounds drawn per numpy pass. It bounds the temporaries of any session (a
+# pass's uniforms take 384 KiB); passes of 2**16 rounds were no faster end to
+# end on sessions of 7,000-11,000 rounds and left about 0.3 MB more resident.
+BLOCK_ROUNDS = 1 << 12
+# Rounds turned into Python objects or text at a time.
+CHUNK_ROUNDS = 4096
+
+
+class Table(NamedTuple):
+    """A case table as arrays: `values` (one row per case; every case value
+    of a round is a small integer: a bit, a photon count or a tuple of
+    counts) and the cumulative probabilities `cum`."""
+
+    values: np.ndarray
+    cum: np.ndarray
+
+    @classmethod
+    def of(cls, cases) -> "Table":
+        values, probs = zip(*cases)
+        return cls(np.array(values, dtype=np.int8), np.cumsum(probs))
+
+    def draw(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The value for each uniform in `u`: the first case whose cumulative
+        probability exceeds it, the last case against rounding at u ~ 1."""
+        index = np.searchsorted(self.cum, u, side="right")
+        np.minimum(index, len(self.cum) - 1, out=index)
+        return np.take(self.values, index, axis=0, out=out)
 
 
 @dataclass(frozen=True)
@@ -73,7 +116,7 @@ class DeviceModel:
 
 @dataclass(frozen=True)
 class ControlOutcome:
-    kind: str  # "announce-bit" | "photon-count-check"
+    kind: str  # ANNOUNCE | COUNT
     flagged: bool
 
 
@@ -118,6 +161,120 @@ class RoundRecord:
         }
 
 
+# `RoundRecord.to_json_dict` rendered straight from column values; the
+# lookups map column codes to their JSON text.
+_JSONL_LINE = (
+    '{{"round": {}, "n": {}, "m": {}, "alice_counts": [{}, {}], "bob_counts": [{}, {}], '
+    '"accepted": {}, "announcement": {}, "inferred": {}, "control_kind": {}, '
+    '"control_flagged": {}, "eve_knows_n": {}, "photon_anomaly": {}}}\n'
+)
+_JSON_BOOL = ("false", "true")
+_JSON_ANNOUNCEMENT = ("null", '"Da1"', '"Da2"')
+_JSON_OPTIONAL_BIT = {0: "null", 1: "1", -1: "-1"}
+_JSON_CONTROL_KIND = ("null", f'"{ANNOUNCE}"', f'"{COUNT}"')
+_JSON_CONTROL_FLAG = ("null", "false", "true")  # no control, not flagged, flagged
+
+
+@dataclass(frozen=True, eq=False)
+class Rounds:
+    """A block of rounds as numpy columns, one row per round.
+
+    Optional values are coded 0 for None: `announcement` (detector index),
+    `inferred` and `eve_learned` (bits +-1), and `control_kind` (an index
+    into CONTROL_KINDS). `eve_counts` is None for attacks without detectors.
+    Length, iteration and indexing yield `RoundRecord` views; a slice yields
+    a `Rounds`.
+    """
+
+    index: np.ndarray
+    n: np.ndarray
+    m: np.ndarray
+    alice_counts: np.ndarray  # (rounds, 2)
+    bob_counts: np.ndarray  # (rounds, 2)
+    accepted: np.ndarray
+    announcement: np.ndarray
+    inferred: np.ndarray
+    control_kind: np.ndarray
+    control_flagged: np.ndarray
+    photon_anomaly: np.ndarray
+    eve_counts: Optional[np.ndarray]  # (rounds, len(eve_ports))
+    eve_learned: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def _columns(self, rows) -> dict:
+        return {
+            f.name: None if getattr(self, f.name) is None else getattr(self, f.name)[rows]
+            for f in fields(self)
+        }
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return Rounds(**self._columns(key))
+        i = range(len(self))[key]
+        return next(self._records(slice(i, i + 1)))
+
+    def __iter__(self) -> Iterator[RoundRecord]:
+        for lo in range(0, len(self), CHUNK_ROUNDS):
+            yield from self._records(slice(lo, lo + CHUNK_ROUNDS))
+
+    def _records(self, rows: slice) -> Iterator[RoundRecord]:
+        columns = [
+            itertools.repeat(None) if c is None else c.tolist() for c in self._columns(rows).values()
+        ]
+        for i, n, m, a, b, acc, ann, inf, kind, flag, anomaly, ev, learned in zip(*columns):
+            yield RoundRecord(
+                round_index=i,
+                n=n,
+                m=m,
+                alice_counts=tuple(a),
+                bob_counts=tuple(b),
+                accepted=acc,
+                announcement=ann or None,
+                inferred=inf or None,
+                control=ControlOutcome(CONTROL_KINDS[kind], flag) if kind else None,
+                photon_anomaly=anomaly,
+                eve_counts=None if ev is None else tuple(ev),
+                eve_learned=learned or None,
+            )
+
+    def jsonl_chunks(self) -> Iterator[str]:
+        """The records' wire form, one JSON line per round, in chunks of
+        CHUNK_ROUNDS lines rendered straight from the columns."""
+        for lo in range(0, len(self), CHUNK_ROUNDS):
+            rows = slice(lo, lo + CHUNK_ROUNDS)
+            flag = np.where(self.control_kind[rows] > 0, 1 + self.control_flagged[rows], 0)
+            columns = (
+                self.index[rows], self.n[rows], self.m[rows],
+                *self.alice_counts[rows].T, *self.bob_counts[rows].T,
+                self.accepted[rows], self.announcement[rows], self.inferred[rows],
+                self.control_kind[rows], flag, self.eve_learned[rows] != 0,
+                self.photon_anomaly[rows],
+            )
+            yield "".join(
+                _JSONL_LINE.format(
+                    i, n, m, a1, a2, b1, b2, _JSON_BOOL[acc], _JSON_ANNOUNCEMENT[ann],
+                    _JSON_OPTIONAL_BIT[inf], _JSON_CONTROL_KIND[kind], _JSON_CONTROL_FLAG[fl],
+                    _JSON_BOOL[knows], _JSON_BOOL[anomaly],
+                )
+                for i, n, m, a1, a2, b1, b2, acc, ann, inf, kind, fl, knows, anomaly in zip(
+                    *(c.tolist() for c in columns)
+                )
+            )
+
+    @classmethod
+    def concat(cls, parts: Sequence["Rounds"]) -> "Rounds":
+        """The rounds of `parts`, in order."""
+        if len(parts) == 1:
+            return parts[0]
+        return cls(**{
+            f.name: None if getattr(parts[0], f.name) is None
+            else np.concatenate([getattr(p, f.name) for p in parts])
+            for f in fields(cls)
+        })
+
+
 @dataclass(frozen=True)
 class SessionConfig:
     rounds: int
@@ -131,8 +288,8 @@ class SessionConfig:
     def __post_init__(self):
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         for name in ("control_announce_fraction", "control_count_fraction"):
             f = getattr(self, name)
             if not 0.0 <= f <= 1.0:
@@ -167,13 +324,17 @@ def emission_cases(device: DeviceModel) -> Cases:
     return tuple((k, p) for k, p in ((2, device.p2), (1, 1.0 - device.p2)) if p > 0.0)
 
 
-def infer_bit(alice_click: int, bob_click: int, m: int) -> int:
-    """Bob's reconstruction of n from Alice's announced click and his own."""
-    if alice_click not in (1, 2) or bob_click not in (1, 2):
-        raise ValueError("clicks must be detector indices 1 or 2")
-    if m not in (-1, 1):
+def infer_bit(alice_click, bob_click, m):
+    """Bob's reconstruction of n from Alice's announced click and his own.
+    Takes scalars or equal-length arrays."""
+    alice_click, bob_click, m = np.asarray(alice_click), np.asarray(bob_click), np.asarray(m)
+    for click in (alice_click, bob_click):
+        if not np.all((click == 1) | (click == 2)):
+            raise ValueError("clicks must be detector indices 1 or 2")
+    if not np.all(np.abs(m) == 1):
         raise ValueError(f"m must be +1 or -1, got {m}")
-    return m if alice_click == bob_click else -m
+    bit = np.where(alice_click == bob_click, m, -m)
+    return bit if bit.ndim else int(bit)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -195,22 +356,14 @@ def detector_cases(true_counts: Tuple[int, int], eta: float, detector_kind: str)
     return tuple(case for case in pairs if case[1] > 0.0)
 
 
-def detected_counts(
-    true_counts: Tuple[int, int], device: DeviceModel, rng: np.random.Generator
-) -> Tuple[int, int]:
-    """What the party's detector pair reports for the given true photon counts."""
-    return draw(detector_cases(true_counts, device.eta, device.detector_kind), rng)
-
-
-def _single_click(reported: Tuple[int, int]) -> Optional[int]:
-    """Detector index when the side registered exactly one photon/click."""
-    if sum(reported) != 1:
-        return None
-    return 1 if reported[0] == 1 else 2
+def _single_click(reported: np.ndarray) -> np.ndarray:
+    """Detector index (1|2) where the side registered exactly one photon or
+    click, else 0."""
+    return np.where(reported.sum(axis=1) == 1, np.where(reported[:, 0] == 1, 1, 2), 0)
 
 
 def latent_tables(cfg: SessionConfig, attack: Attack) -> List[Cases]:
-    """Case tables of a round's discrete latents, in draw order: the bits n
+    """Case tables of a round's discrete latents, in slot order: the bits n
     and m, the two source emissions, then the adversary's bits."""
     return [
         BIT_CASES,
@@ -252,121 +405,189 @@ def latent_distribution(
     return OutcomeDistribution(ports, entries)
 
 
-def run_round(
-    cfg: SessionConfig,
-    attack: Attack,
-    index: int,
-    rng: np.random.Generator,
-    cache: Optional[dict] = None,
-    count_control: Optional[bool] = None,
-) -> RoundRecord:
-    """Execute one protocol round under the configured adversary.
+def round_uniforms(seed: int, start: int, stop: int) -> np.ndarray:
+    """The (stop - start, UNIFORMS_PER_ROUND) uniforms of rounds [start, stop)."""
+    bitgen = np.random.Philox(key=seed, counter=start * (UNIFORMS_PER_ROUND // 4))
+    return np.random.Generator(bitgen).random((stop - start, UNIFORMS_PER_ROUND))
 
-    The draw order on `rng` is fixed (control pre-commitment, the latents of
-    `latent_tables`, the photon counts, detector reports, control selection),
-    so a round is a pure function of (cfg, attack, index, seed). `cache`
-    memoizes the session's case tables and `latent_distribution` across
-    rounds.
+
+def _groups(*columns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of small-integer columns: (one row holding each
+    distinct row, the inverse mapping every row to its distinct row)."""
+    code = np.zeros(len(columns[0]), dtype=np.int64)
+    for col in columns:
+        col = col.astype(np.int64)
+        lo = int(col.min(initial=0))
+        code = code * (int(col.max(initial=0)) - lo + 1) + (col - lo)
+    present = np.bincount(code) > 0
+    holder = np.empty(len(present), dtype=np.int64)
+    holder[code] = np.arange(len(code))  # any row of a group stands for all of it
+    return holder[present], (np.cumsum(present) - 1)[code]
+
+
+def _draw_grouped(tables: Sequence[Table], inverse: np.ndarray, u: np.ndarray, width: int) -> np.ndarray:
+    """Row r's value drawn from tables[inverse[r]] with uniform u[r]; each
+    value is a row of `width` small integers."""
+    # A block has at most BLOCK_ROUNDS <= 2**16 rows, hence groups: a stable
+    # sort of 16-bit keys is a radix sort. Drawing each group into a slice of
+    # one block-sized array keeps the group-sized temporaries, which numpy
+    # caches by size, to the searchsorted index alone.
+    order = np.argsort(inverse.astype(np.uint16), kind="stable")
+    grouped_u = u[order]
+    drawn = np.empty((len(u), width), dtype=np.int8)
+    lo = 0
+    for table, hi in zip(tables, np.cumsum(np.bincount(inverse, minlength=len(tables)))):
+        table.draw(grouped_u[lo:hi], out=drawn[lo:hi])
+        lo = hi
+    out = np.empty_like(drawn)
+    out[order] = drawn
+    return out
+
+
+class RoundEngine:
+    """Samples the rounds of one session as numpy columns.
+
+    A round is a pure function of (cfg, attack, index, seed): round i reads
+    its own uniforms (`round_uniforms`), one slot per random quantity, so any
+    block [start, stop) equals the same rows of [0, N). The engine memoizes
+    `latent_distribution` for each latent assignment it meets; the exact
+    oracle can share that memo through `distribution`.
     """
-    if cache is None:
-        cache = {}
-    tables = cache.get("tables")
-    if tables is None:
-        tables = cache["tables"] = latent_tables(cfg, attack)
-    if count_control is None:
-        count_control = (
-            cfg.control_count_fraction > 0.0 and rng.random() < cfg.control_count_fraction
-        )
-    n, m, na, nb, *bits = [draw(cases, rng) for cases in tables]
-    bits = tuple(bits)
-    key = (n, m, na, nb, bits, not count_control)
-    dist = cache.get(key)
-    if dist is None:
-        dist = cache[key] = latent_distribution(attack, *key)
-    counts = dist.sample(rng)  # (a1, rail to Alice, b1, rail to Bob, *eve_ports)
-    eve_counts = counts[4:] or None
 
-    if count_control:
-        # Destructive check: no recombination, direct photon counts compared
-        # across the channel. Each source emits exactly one photon (ideal
-        # source), so stored + counterpart-received must total 1 per party.
-        flagged = counts[0] + counts[3] != 1 or counts[2] + counts[1] != 1
-        return RoundRecord(
-            round_index=index,
-            n=n,
-            m=m,
-            alice_counts=counts[:2],
-            bob_counts=counts[2:4],
-            accepted=False,
-            announcement=None,
-            inferred=None,
-            control=ControlOutcome("photon-count-check", flagged),
-            photon_anomaly=False,
+    def __init__(self, cfg: SessionConfig, attack: Optional[Attack] = None):
+        self.cfg = cfg
+        self.attack = attacks_mod.build(cfg.attack) if attack is None else attack
+        self.tables = latent_tables(cfg, self.attack)
+        if len(self.tables) > LATENT_SLOTS:
+            raise ValueError(
+                f"a round has {LATENT_SLOTS} latent slots, the attack needs {len(self.tables)}"
+            )
+        self._latent_arrays = [Table.of(cases) for cases in self.tables]
+        self._latents: Dict[tuple, Tuple[OutcomeDistribution, Table]] = {}
+        self._detectors: Dict[tuple, Table] = {}
+
+    def _latent(self, key: tuple) -> Tuple[OutcomeDistribution, Table]:
+        entry = self._latents.get(key)
+        if entry is None:
+            dist = latent_distribution(self.attack, *key)
+            entry = self._latents[key] = (dist, Table.of(dist.entries.items()))
+        return entry
+
+    def distribution(self, n: int, m: int, na: int, nb: int, bits: tuple, recombine: bool) -> OutcomeDistribution:
+        """`latent_distribution` of the engine's attack, memoized."""
+        return self._latent((n, m, na, nb, bits, recombine))[0]
+
+    def _detect(self, true_counts: np.ndarray, device: DeviceModel, u: np.ndarray) -> np.ndarray:
+        holders, inverse = _groups(true_counts[:, 0], true_counts[:, 1])
+        tables = []
+        for pair in map(tuple, true_counts[holders].tolist()):
+            key = (pair, device.eta, device.detector_kind)
+            if key not in self._detectors:
+                self._detectors[key] = Table.of(detector_cases(*key))
+            tables.append(self._detectors[key])
+        return _draw_grouped(tables, inverse, u, 2)
+
+    def rounds(self, start: int, stop: int) -> Rounds:
+        """Rounds [start, stop) of the session."""
+        if not 0 <= start <= stop:
+            raise ValueError(f"need 0 <= start <= stop, got [{start}, {stop})")
+        parts = [self._block(lo, min(lo + BLOCK_ROUNDS, stop)) for lo in range(start, stop, BLOCK_ROUNDS)]
+        return Rounds.concat(parts) if parts else self._block(start, stop)
+
+    def _block(self, start: int, stop: int) -> Rounds:
+        cfg, attack = self.cfg, self.attack
+        u = round_uniforms(cfg.seed, start, stop)
+        count_control = u[:, SLOT_COUNT_CONTROL] < cfg.control_count_fraction
+        latents = np.stack(
+            [table.draw(u[:, SLOT_LATENTS + j]) for j, table in enumerate(self._latent_arrays)], axis=1
+        )  # (n, m, na, nb, *bits) per round
+        n, m = latents[:, 0], latents[:, 1]
+
+        # The joint photon counts (a1, rail to Alice, b1, rail to Bob,
+        # *eve_ports), one draw from each distinct latent's distribution.
+        holders, inverse = _groups(count_control, *latents.T)
+        tables = [
+            self._latent((*row[:4], tuple(row[4:]), not control))[1]
+            for row, control in zip(latents[holders].tolist(), count_control[holders].tolist())
+        ]
+        counts = _draw_grouped(tables, inverse, u[:, SLOT_OUTCOME], 4 + len(attack.eve_ports))
+
+        alice_rep = self._detect(counts[:, 0:2], cfg.device_alice, u[:, SLOT_DETECTOR_ALICE])
+        bob_rep = self._detect(counts[:, 2:4], cfg.device_bob, u[:, SLOT_DETECTOR_BOB])
+        alice_res = np.where(count_control, 0, _single_click(alice_rep))
+        bob_res = _single_click(bob_rep)
+        accepted = (alice_res > 0) & (bob_res > 0)
+        inferred = np.zeros(len(u), dtype=np.int8)
+        inferred[accepted] = infer_bit(alice_res[accepted], bob_res[accepted], m[accepted])
+
+        # Announce-bit verification: Alice also reveals n on an accepted round
+        # and Bob checks his inference against it.
+        announce = accepted & (u[:, SLOT_ANNOUNCE] < cfg.control_announce_fraction)
+        # Destructive count check: no recombination, direct photon counts
+        # compared across the channel. Each source emits exactly one photon
+        # (ideal source), so stored + counterpart-received must total 1 per
+        # party.
+        count_flag = (counts[:, 0] + counts[:, 3] != 1) | (counts[:, 2] + counts[:, 1] != 1)
+        control_kind = np.where(
+            count_control, CONTROL_KINDS.index(COUNT), np.where(announce, CONTROL_KINDS.index(ANNOUNCE), 0)
+        )
+        control_flagged = np.where(count_control, count_flag, announce & (inferred != n))
+
+        totals = (alice_rep.sum(axis=1), bob_rep.sum(axis=1))
+        honest_totals = np.zeros(len(u), dtype=bool)
+        for a, b in HONEST_COINCIDENCE_SUPPORT:
+            honest_totals |= (totals[0] == a) & (totals[1] == b)
+
+        # Eve's inference, once per distinct (bits, her counts, Alice's result).
+        eve_counts = counts[:, 4:] if attack.eve_ports else None
+        eve_learned = np.zeros(len(u), dtype=np.int8)
+        normal = np.flatnonzero(~count_control)
+        bits = latents[normal, 4:]
+        eve = np.empty((len(normal), 0)) if eve_counts is None else eve_counts[normal]
+        holders, inverse = _groups(*bits.T, *eve.T, alice_res[normal])
+        learned = [
+            attack.learn(tuple(b), None if eve_counts is None else tuple(e), res or None)
+            for b, e, res in zip(
+                bits[holders].tolist(), eve[holders].tolist(), alice_res[normal][holders].tolist()
+            )
+        ]
+        eve_learned[normal] = np.array([bit or 0 for bit in learned], dtype=np.int8)[inverse]
+
+        return Rounds(
+            index=np.arange(start, stop, dtype=np.int64),
+            n=n.astype(np.int8),
+            m=m.astype(np.int8),
+            alice_counts=np.where(count_control[:, None], counts[:, 0:2], alice_rep),
+            bob_counts=np.where(count_control[:, None], counts[:, 2:4], bob_rep),
+            accepted=accepted,
+            announcement=np.where(accepted, alice_res, 0).astype(np.int8),
+            inferred=inferred,
+            control_kind=control_kind.astype(np.int8),
+            control_flagged=control_flagged,
+            photon_anomaly=~count_control & ~honest_totals,
             eve_counts=eve_counts,
+            eve_learned=eve_learned,
         )
-
-    alice_rep = detected_counts(counts[:2], cfg.device_alice, rng)
-    bob_rep = detected_counts(counts[2:4], cfg.device_bob, rng)
-    alice_res = _single_click(alice_rep)
-    bob_res = _single_click(bob_rep)
-    accepted = alice_res is not None and bob_res is not None
-    inferred = infer_bit(alice_res, bob_res, m) if accepted else None
-
-    control = None
-    if accepted and cfg.control_announce_fraction > 0.0:
-        # Announce-bit verification: Alice also reveals n and Bob checks his
-        # inference against it.
-        if rng.random() < cfg.control_announce_fraction:
-            control = ControlOutcome("announce-bit", flagged=(inferred != n))
-
-    return RoundRecord(
-        round_index=index,
-        n=n,
-        m=m,
-        alice_counts=alice_rep,
-        bob_counts=bob_rep,
-        accepted=accepted,
-        announcement=alice_res if accepted else None,
-        inferred=inferred,
-        control=control,
-        photon_anomaly=(sum(alice_rep), sum(bob_rep)) not in HONEST_COINCIDENCE_SUPPORT,
-        eve_counts=eve_counts,
-        eve_learned=attack.learn(bits, eve_counts, alice_res),
-    )
-
-
-def round_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent per-round stream; depends only on (seed, index) so shards
-    and reordered execution reproduce identical rounds."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, index)))
-
-
-def run_rounds(cfg: SessionConfig, start: int, stop: int) -> List[RoundRecord]:
-    """Execute rounds [start, stop) of the session."""
-    attack = attacks_mod.build(cfg.attack)
-    cache: dict = {}
-    return [run_round(cfg, attack, i, round_rng(cfg.seed, i), cache) for i in range(start, stop)]
 
 
 def run_session(cfg: SessionConfig):
-    """Run a full session. Returns (records, SessionSummary)."""
+    """Run a full session. Returns (Rounds, SessionSummary)."""
     from .analysis import summarize  # import here: analysis consumes this module
 
-    records = run_rounds(cfg, 0, cfg.rounds)
-    return records, summarize(records)
+    rounds = RoundEngine(cfg).rounds(0, cfg.rounds)
+    return rounds, summarize(rounds)
 
 
 def run_session_sharded(cfg: SessionConfig, shards: int):
     """Run the session split into round-range shards and merge the results.
 
-    Per-round seeding makes this bit-identical to the single-shard run.
+    Per-round uniforms make this identical to the single-shard run.
     """
     from .analysis import summarize
 
     if shards < 1:
         raise ValueError("shards must be >= 1")
+    engine = RoundEngine(cfg)
     bounds = [round(i * cfg.rounds / shards) for i in range(shards + 1)]
-    records: List[RoundRecord] = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        records.extend(run_rounds(cfg, lo, hi))
-    return records, summarize(records)
+    rounds = Rounds.concat([engine.rounds(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
+    return rounds, summarize(rounds)

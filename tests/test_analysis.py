@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from vopqkd import analysis
+from vopqkd import analysis, protocol
 from vopqkd.analysis import (
     ANNOUNCE,
     EfficiencyReport,
@@ -176,6 +176,23 @@ class TestOracle:
         )
         stages = oracle_check(cfg)
         assert stages[0].tv_distance < 0.025
+
+    @pytest.mark.parametrize("kind", ["mitm", "devil"])
+    def test_oracle_builds_each_latent_distribution_once(self, monkeypatch, kind):
+        built = []
+        real = protocol.latent_distribution
+
+        def counting(attack, *key):
+            built.append(key)
+            return real(attack, *key)
+
+        monkeypatch.setattr(protocol, "latent_distribution", counting)
+        cfg = SessionConfig(
+            rounds=3000, seed=51, attack=AttackStrategy(kind=kind), control_count_fraction=0.2
+        )
+        oracle_check(cfg)
+        assert len(built) == len(set(built))
+        assert {key[-1] for key in built} == {True, False}  # recombined and count-control latents
 
     def test_csv_shape(self):
         cfg = SessionConfig(rounds=2000, seed=51)

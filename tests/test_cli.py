@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from vopqkd import cli
+from vopqkd import cli, protocol
 from vopqkd.cli import ScenarioConfig, UsageError, main, parse_config
 
 
@@ -144,6 +144,27 @@ class TestExecution:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize(
+        "rounds, flags",
+        [
+            (300, []),
+            (300, ["--attack", "phase", "--phi", "1.5", "--control-announce-fraction", "0.5"]),
+            (9000, ["--attack", "mitm", "--control-announce-fraction", "0.3",
+                    "--control-count-fraction", "0.2"]),
+        ],
+    )
+    def test_jsonl_streams_the_record_wire_form(self, tmp_path, capsys, rounds, flags):
+        argv = ["run", "--rounds", str(rounds), "--seed", "4", "--format", "jsonl", *flags]
+        records, _ = protocol.run_session(parse(argv).session_config())
+        expected = "".join(json.dumps(r.to_json_dict()) + "\n" for r in records)
+        out = tmp_path / "records.jsonl"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_text() == expected
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+        chunk_lines = [chunk.count("\n") for chunk in records.jsonl_chunks()]
+        assert sum(chunk_lines) == rounds and max(chunk_lines) <= protocol.CHUNK_ROUNDS
+
     def test_summary_content(self, tmp_path, capsys):
         assert main(["run", "--rounds", "3000", "--seed", "5"]) == 0
         summary = json.loads(capsys.readouterr().out)
@@ -181,13 +202,14 @@ class TestExecution:
     "argv, content",
     [
         (["run", "--rounds", "10", "--seed", "-1"], None),
+        (["run", "--rounds", "10", "--seed", "18446744073709551616"], None),
         (["run", "--seed", "1", "--config", "{path}"], {"rounds": "abc"}),
         (["run", "--seed", "1", "--config", "{path}"], {"rounds": 1.5}),
         (["run", "--rounds", "10", "--seed", "1", "--attack", "mitm", "--phi", "1"], None),
         (["report", "{path}"], [1, 2]),
         (["report", "{path}"], {}),
     ],
-    ids=["negative-seed", "string-rounds", "float-rounds", "phi-without-phase",
+    ids=["negative-seed", "seed-past-64-bits", "string-rounds", "float-rounds", "phi-without-phase",
          "summary-list", "summary-empty"],
 )
 def test_bad_input_exits_with_usage_error(tmp_path, capsys, argv, content):

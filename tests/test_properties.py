@@ -1,18 +1,26 @@
-"""Hypothesis property tests: Fock-algebra invariants and the invariants of
-the shared latent kernel (case tables, per-latent distributions, oracle)."""
+"""Hypothesis property tests: Fock-algebra invariants, the invariants of
+the shared latent kernel (case tables, per-latent distributions, oracle),
+and the scenario configuration's file round trip and validation."""
 
+import contextlib
+import io
 import itertools
+import json
 import math
+import os
+import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vopqkd import analysis, fock, protocol
+from vopqkd import analysis, cli, fock, protocol
 from vopqkd.attacks import BIT_CASES, ATTACK_KINDS, CHANNEL_NAMES, AttackStrategy, build
-from vopqkd.protocol import DETECTOR_KINDS, DeviceModel, SessionConfig
+from vopqkd.cli import FORMATS, ScenarioConfig
+from vopqkd.protocol import DETECTOR_KINDS, SEED_LIMIT, DeviceModel, SessionConfig
 
 PROPERTY = settings(max_examples=40, deadline=None)
 KERNEL = settings(max_examples=15, deadline=None)
+CONFIG = settings(max_examples=60, deadline=None)
 
 REGISTRY = ("x", "y", "z")
 
@@ -115,3 +123,113 @@ def test_eve_counts_do_not_depend_on_recombination(strategy, na, nb, data):
         marginals.append(eve)
     for key in set(marginals[0]) | set(marginals[1]):
         assert abs(marginals[0].get(key, 0.0) - marginals[1].get(key, 0.0)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# ScenarioConfig: config-file round trip and validation
+# ---------------------------------------------------------------------------
+
+unit_interval = st.floats(0.0, 1.0) | st.sampled_from([0, 1])
+channel_sets = st.sampled_from([(c,) for c in CHANNEL_NAMES] + [CHANNEL_NAMES])
+
+
+@st.composite
+def scenario_configs(draw, max_rounds=10**9):
+    """Valid scenarios: every one parses through `--config`."""
+    attack = draw(st.sampled_from(ATTACK_KINDS))
+    phase = attack == "phase"
+    return ScenarioConfig(
+        rounds=draw(st.integers(1, max_rounds)),
+        seed=draw(st.integers(0, SEED_LIMIT - 1)),
+        attack=attack,
+        phi=draw(st.floats(0.0, math.pi)) if phase else 0.0,
+        channels=draw(channel_sets) if phase else ScenarioConfig.channels,
+        p2=draw(unit_interval),
+        detector=draw(st.sampled_from(DETECTOR_KINDS)),
+        eta=draw(unit_interval),
+        control_announce_fraction=draw(unit_interval),
+        control_count_fraction=draw(unit_interval),
+        abort_on_detection=draw(st.booleans()),
+        out=draw(st.none() | st.text(max_size=12)),
+        format=draw(st.sampled_from(FORMATS)),
+    )
+
+
+@contextlib.contextmanager
+def config_file(data):
+    fd, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "w") as f:
+            json.dump(data, f)
+        yield path
+    finally:
+        os.remove(path)
+
+
+@CONFIG
+@given(scenario_configs())
+def test_scenario_config_round_trips_through_json_and_config_file(cfg):
+    flat = json.loads(json.dumps(cfg.to_flat_dict()))
+    assert ScenarioConfig.from_flat_dict(flat) == cfg
+    with config_file(flat) as path:
+        assert cli.parse_config(cli.build_parser().parse_args(["run", "--config", path])) == cfg
+
+
+json_values = (
+    st.none() | st.booleans() | st.integers(-(10**20), 10**20) | st.floats() | st.text(max_size=8)
+    | st.lists(st.integers(0, 3), max_size=2)
+    | st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2)
+)
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _not_number(v):
+    return not _is_number(v)
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+outside_unit = st.floats().filter(lambda x: not 0.0 <= x <= 1.0) | json_values.filter(_not_number)
+# For each key, JSON values that are of the wrong type or out of range for a
+# `run`.
+INVALID_VALUES = {
+    "rounds": st.integers(max_value=0) | json_values.filter(lambda v: not _is_int(v)),
+    "seed": (
+        st.integers(max_value=-1) | st.integers(min_value=SEED_LIMIT)
+        | json_values.filter(lambda v: not _is_int(v))
+    ),
+    "attack": json_values.filter(lambda v: v not in ATTACK_KINDS),
+    "phi": st.floats().filter(lambda x: not 0.0 <= x <= math.pi) | json_values.filter(_not_number),
+    "channels": (
+        json_values.filter(lambda v: not isinstance(v, (str, list)))
+        | st.lists(st.text(max_size=12), max_size=2).filter(lambda v: not v or not set(v) <= set(CHANNEL_NAMES))
+        | st.lists(st.integers(), min_size=1, max_size=2)
+    ),
+    "p2": outside_unit,
+    "detector": json_values.filter(lambda v: v not in DETECTOR_KINDS),
+    "eta": outside_unit,
+    "control_announce_fraction": outside_unit,
+    "control_count_fraction": outside_unit,
+    "abort_on_detection": json_values.filter(lambda v: not isinstance(v, bool)),
+    "out": json_values.filter(lambda v: v is not None and not isinstance(v, str)),
+    "format": json_values.filter(lambda v: v not in ("json", "jsonl")),  # csv belongs to oracle
+}
+
+
+@CONFIG
+@given(scenario_configs(max_rounds=20), st.sampled_from(sorted(INVALID_VALUES)), st.data())
+def test_invalid_config_value_is_a_usage_error(cfg, key, data):
+    flat = cfg.to_flat_dict()
+    flat.update(out=None, format="json")
+    flat[key] = data.draw(INVALID_VALUES[key], label=key)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with config_file(flat) as path, contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(["run", "--config", path])
+    assert code == cli.EXIT_USAGE
+    assert stderr.getvalue().startswith("error: ") and "Traceback" not in stderr.getvalue()
+    assert stdout.getvalue() == ""

@@ -7,17 +7,16 @@ import numpy as np
 import pytest
 
 from vopqkd import analysis, fock, protocol
-from vopqkd.attacks import Attack, AttackStrategy, NullAttack
+from vopqkd.attacks import ATTACK_KINDS, Attack, AttackStrategy, NullAttack
 from vopqkd.protocol import (
     DeviceModel,
+    RoundEngine,
     SessionConfig,
-    draw,
+    Table,
+    detector_cases,
     emission_cases,
     encoded_pair_state,
     infer_bit,
-    detected_counts,
-    round_rng,
-    run_round,
     run_session,
     run_session_sharded,
 )
@@ -28,6 +27,18 @@ IDEAL = DeviceModel()
 
 def honest_config(rounds=20000, seed=7, **kw):
     return SessionConfig(rounds=rounds, seed=seed, **kw)
+
+
+def draw(cases, rng, size=None):
+    """Values of a case table for `size` uniforms (one value when None)."""
+    values = Table.of(cases).draw(rng.random(1 if size is None else size))
+    return values[0] if size is None else values
+
+
+def detected_counts(true_counts, device, rng, size=None):
+    """The party's detector report(s) for the given true photon counts."""
+    reports = draw(detector_cases(true_counts, device.eta, device.detector_kind), rng, size)
+    return tuple(reports.tolist()) if size is None else [tuple(r) for r in reports.tolist()]
 
 
 class TestEncoding:
@@ -60,7 +71,7 @@ class TestEncoding:
     def test_two_photon_probability_sampled(self):
         rng = np.random.default_rng(3)
         device = DeviceModel(p2=0.25)
-        doubles = sum(1 for _ in range(4000) if draw(emission_cases(device), rng) == 2)
+        doubles = int((draw(emission_cases(device), rng, 4000) == 2).sum())
         assert abs(doubles / 4000 - 0.25) < 0.03
 
     def test_invalid_bit(self):
@@ -110,7 +121,7 @@ class TestDevices:
     def test_loss_thins_counts(self):
         rng = np.random.default_rng(5)
         device = DeviceModel(eta=0.5)
-        seen = [detected_counts((1, 1), device, rng) for _ in range(2000)]
+        seen = detected_counts((1, 1), device, rng, 2000)
         mean = sum(a + b for a, b in seen) / len(seen)
         assert abs(mean - 1.0) < 0.1
 
@@ -118,19 +129,15 @@ class TestDevices:
 class TestRound:
     def test_acceptance_iff_one_photon_each(self):
         cfg = honest_config()
-        attack = NullAttack()
-        for i in range(500):
-            rec = run_round(cfg, attack, i, round_rng(cfg.seed, i))
+        for rec in RoundEngine(cfg, NullAttack()).rounds(0, 500):
             assert rec.accepted == (sum(rec.alice_counts) == 1 and sum(rec.bob_counts) == 1)
             assert (rec.announcement is not None) == rec.accepted
             assert (rec.inferred is not None) == rec.accepted
 
     def test_honest_inference_is_deterministic(self):
         cfg = honest_config()
-        attack = NullAttack()
         accepted = 0
-        for i in range(2000):
-            rec = run_round(cfg, attack, i, round_rng(cfg.seed, i))
+        for rec in RoundEngine(cfg, NullAttack()).rounds(0, 2000):
             if rec.accepted:
                 accepted += 1
                 assert rec.inferred == rec.n
@@ -140,10 +147,8 @@ class TestRound:
     def test_honest_clicks_never_cross_for_equal_bits(self):
         # conditioned on acceptance, (D_a1,D_b1) or (D_a2,D_b2) for m = n
         cfg = honest_config()
-        attack = NullAttack()
         seen = set()
-        for i in range(4000):
-            rec = run_round(cfg, attack, i, round_rng(cfg.seed, i))
+        for rec in RoundEngine(cfg, NullAttack()).rounds(0, 4000):
             if rec.accepted and rec.n == rec.m:
                 alice = rec.announcement
                 bob = 1 if rec.bob_counts[0] == 1 else 2
@@ -152,8 +157,8 @@ class TestRound:
 
     def test_hook_identity_matches_base(self):
         cfg = honest_config()
-        a = [run_round(cfg, NullAttack(), i, round_rng(cfg.seed, i)) for i in range(300)]
-        b = [run_round(cfg, Attack(), i, round_rng(cfg.seed, i)) for i in range(300)]
+        a = RoundEngine(cfg, NullAttack()).rounds(0, 300)
+        b = RoundEngine(cfg, Attack()).rounds(0, 300)
         assert [r.to_json_dict() for r in a] == [r.to_json_dict() for r in b]
 
 
@@ -196,10 +201,9 @@ class TestControls:
                 state = fock.tensor(state, fock.vacuum(("v1", "v2")))
                 return [(state, 1.0)], "v1", "v2"
 
-        cfg = honest_config()
+        cfg = honest_config(seed=2, control_count_fraction=1.0)
         flags = []
-        for i in range(400):
-            rec = run_round(cfg, ChannelCut(), i, round_rng(2, i), count_control=True)
+        for rec in RoundEngine(cfg, ChannelCut()).rounds(0, 400):
             # nothing arrives on the cut channel: (stored, incoming) totals 0 or 1
             assert rec.bob_counts[1] == 0 and sum(rec.bob_counts) in (0, 1)
             flags.append(rec.control.flagged)
@@ -207,8 +211,8 @@ class TestControls:
         assert rate > 0.5  # both one-photon correlations break independently
 
     def test_count_control_round_record_shape(self):
-        cfg = honest_config(control_count_fraction=1.0)
-        rec = run_round(cfg, NullAttack(), 0, round_rng(1, 0))
+        cfg = honest_config(seed=1, control_count_fraction=1.0)
+        rec = RoundEngine(cfg, NullAttack()).rounds(0, 1)[0]
         assert not rec.accepted
         assert rec.announcement is None and rec.inferred is None
         assert rec.control.kind == "photon-count-check"
@@ -301,3 +305,74 @@ class TestSession:
             SessionConfig(rounds=0, seed=1)
         with pytest.raises(ValueError):
             SessionConfig(rounds=10, seed=1, control_count_fraction=2.0)
+
+
+def assert_same_rounds(a, b):
+    assert len(a) == len(b)
+    for name in protocol.Rounds.__dataclass_fields__:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None and y is None) or np.array_equal(x, y), name
+
+
+def jsonl(rounds):
+    return "".join(rounds.jsonl_chunks())
+
+
+LOSSY = DeviceModel(p2=0.3, detector_kind="threshold", eta=0.8)
+
+
+def shard_config(kind):
+    return SessionConfig(
+        rounds=150, seed=19,
+        attack=AttackStrategy(kind, phi=1.1 if kind == "phase" else 0.0),
+        device_alice=LOSSY, device_bob=LOSSY,
+        control_announce_fraction=0.3, control_count_fraction=0.2,
+    )
+
+
+class TestShardExactness:
+    @pytest.mark.parametrize("kind", ATTACK_KINDS)
+    def test_any_shard_count_gives_identical_output(self, kind):
+        cfg = shard_config(kind)
+        single, summary = run_session(cfg)
+        assert {r.control.kind for r in single if r.control} == {analysis.ANNOUNCE, analysis.COUNT}
+        for shards in (1, 2, 3, 7, cfg.rounds):  # the last: one round per shard
+            sharded, sharded_summary = run_session_sharded(cfg, shards)
+            assert jsonl(sharded) == jsonl(single)
+            assert json.dumps(sharded_summary.to_json_dict()) == json.dumps(summary.to_json_dict())
+            assert_same_rounds(sharded, single)
+
+    @pytest.mark.parametrize("kind", ["mitm", "devil"])
+    def test_block_equals_rows_of_the_whole(self, kind):
+        engine = RoundEngine(shard_config(kind))
+        whole = engine.rounds(0, 150)
+        for a, b in ((0, 150), (0, 1), (37, 38), (40, 40), (13, 101), (149, 150)):
+            assert_same_rounds(engine.rounds(a, b), whole[a:b])
+        assert [r.round_index for r in engine.rounds(13, 101)] == list(range(13, 101))
+
+    def test_numpy_pass_size_does_not_change_rounds(self, monkeypatch):
+        cfg = shard_config("devil")
+        whole = RoundEngine(cfg).rounds(0, 150)
+        monkeypatch.setattr(protocol, "BLOCK_ROUNDS", 7)
+        assert_same_rounds(RoundEngine(cfg).rounds(0, 150), whole)
+
+
+class TestUniformStream:
+    def test_round_reads_its_philox_slots(self):
+        # round i reads the 12 doubles at offset 12*i of the stream keyed by the seed
+        stream = np.random.Generator(np.random.Philox(key=99)).random(12 * 20).reshape(20, 12)
+        assert np.array_equal(protocol.round_uniforms(99, 5, 20), stream[5:])
+
+    def test_seed_range(self):
+        SessionConfig(rounds=1, seed=2**64 - 1)
+        with pytest.raises(ValueError):
+            SessionConfig(rounds=1, seed=2**64)
+        with pytest.raises(ValueError):
+            SessionConfig(rounds=1, seed=-1)
+
+    def test_attack_with_too_many_bits_rejected(self):
+        class Chatty(Attack):
+            bit_cases = (protocol.BIT_CASES,) * (protocol.LATENT_SLOTS - 3)
+
+        with pytest.raises(ValueError):
+            RoundEngine(honest_config(rounds=1), Chatty())
