@@ -153,7 +153,19 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=FORMATS)
 
 
+_PARSER: Optional[_Parser] = None
+
+
 def build_parser() -> _Parser:
+    """The CLI's parser. One per process, shared by every caller: parsing
+    leaves it unchanged, and no caller may change it."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _new_parser()
+    return _PARSER
+
+
+def _new_parser() -> _Parser:
     parser = _Parser(prog="vopqkd", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -172,7 +184,8 @@ def build_parser() -> _Parser:
 
 def parse_config(args: argparse.Namespace) -> ScenarioConfig:
     """Merge defaults, config file, scenario preset, and explicit flags."""
-    cfg = ScenarioConfig()
+    # oracle writes nothing but CSV, so that is its default format
+    cfg = ScenarioConfig(format="csv") if getattr(args, "command", None) == "oracle" else ScenarioConfig()
     if getattr(args, "config", None):
         try:
             with open(args.config) as f:
@@ -228,8 +241,8 @@ def execute_run(cfg: ScenarioConfig) -> int:
 
 
 def execute_oracle(cfg: ScenarioConfig) -> int:
-    if cfg.format not in ("csv", "json"):
-        raise UsageError("oracle emits csv (use --format csv)")
+    if cfg.format != "csv":
+        raise UsageError(f"oracle emits csv only, not {cfg.format} (drop --format or use --format csv)")
     stages = analysis.oracle_check(cfg.session_config())
     _emit([analysis.oracle_csv(stages)], cfg.out)
     return EXIT_OK

@@ -26,6 +26,33 @@ _FACT = [math.factorial(k) for k in range(2 * OCCUPANCY_CAP + 1)]
 _SQRT_FACT = [math.sqrt(f) for f in _FACT]
 
 
+def _beam_splitter_terms(n1: int, n2: int) -> Tuple[float, Tuple[Tuple[int, int, float], ...]]:
+    """(divisor, [(p, q, coefficient)]): n1 photons on in1 and n2 on in2 leave
+    as p and q with amplitude coefficient / divisor. The binomial expansion of
+    the transformed creation-operator monomials, with exact bosonic
+    normalization (sqrt(n+1) ladder factors)."""
+    divisor = math.sqrt(_FACT[n1] * _FACT[n2] * 2.0 ** (n1 + n2))
+    terms = []
+    for j in range(n1 + 1):
+        cj = math.comb(n1, j)
+        for k in range(n2 + 1):
+            p = j + k
+            q = (n1 - j) + (n2 - k)
+            coeff = cj * math.comb(n2, k) * _SQRT_FACT[p] * _SQRT_FACT[q]
+            if (n2 - k) % 2:
+                coeff = -coeff
+            terms.append((p, q, coeff))
+    return divisor, tuple(terms)
+
+
+# Every photon pair (n1, n2) a beam splitter accepts, expanded once.
+_BEAM_SPLITTER_TERMS = {
+    (n1, n2): _beam_splitter_terms(n1, n2)
+    for n1 in range(OCCUPANCY_CAP + 1)
+    for n2 in range(OCCUPANCY_CAP + 1 - n1)
+}
+
+
 class ModeError(ValueError):
     """Unknown, duplicate, or otherwise misconfigured mode."""
 
@@ -74,6 +101,16 @@ class FockState:
 
     def amplitude(self, occ: Occupation) -> complex:
         return self.amplitudes.get(tuple(occ), 0.0 + 0.0j)
+
+
+def _unchecked(registry: Tuple[str, ...], amplitudes: Dict[Occupation, complex]) -> FockState:
+    """A gate's output, valid by construction: the registry and occupations
+    are its input's or are built within the cap, so `__post_init__`'s checks
+    are skipped. Public constructors keep them."""
+    state = object.__new__(FockState)
+    object.__setattr__(state, "registry", registry)
+    object.__setattr__(state, "amplitudes", amplitudes)
+    return state
 
 
 def _pruned(amps: Dict[Occupation, complex]) -> Dict[Occupation, complex]:
@@ -131,7 +168,7 @@ def tensor(*states: FockState) -> FockState:
         for occ1, a1 in out.amplitudes.items():
             for occ2, a2 in s.amplitudes.items():
                 amps[occ1 + occ2] = a1 * a2
-        out = FockState(_check_registry(reg), amps)
+        out = _unchecked(_check_registry(reg), amps)
     return out
 
 
@@ -140,9 +177,8 @@ def apply_beam_splitter(state: FockState, in1: str, in2: str) -> FockState:
 
     Convention: a creation operator on in1 maps to (in1' + in2')/sqrt(2) and
     on in2 to (in1' - in2')/sqrt(2), with output modes reusing the same
-    labels. Exact bosonic normalization (sqrt(n+1) ladder factors) via the
-    binomial expansion of the transformed creation-operator monomials; the
-    matrix is self-inverse.
+    labels. Each (n1, n2) input expands by its precomputed
+    `_BEAM_SPLITTER_TERMS` entry; the matrix is self-inverse.
     """
     i1 = state.index(in1)
     i2 = state.index(in2)
@@ -154,23 +190,18 @@ def apply_beam_splitter(state: FockState, in1: str, in2: str) -> FockState:
         if n1 == 0 and n2 == 0:
             out[occ] = out.get(occ, 0.0) + amp
             continue
-        if n1 + n2 > OCCUPANCY_CAP:
+        expansion = _BEAM_SPLITTER_TERMS.get((n1, n2))
+        if expansion is None:
             raise OccupancyError(f"{n1 + n2} photons entering one beam splitter exceeds cap")
-        base = amp / math.sqrt(_FACT[n1] * _FACT[n2] * 2.0 ** (n1 + n2))
-        for j in range(n1 + 1):
-            cj = math.comb(n1, j)
-            for k in range(n2 + 1):
-                p = j + k
-                q = (n1 - j) + (n2 - k)
-                coeff = cj * math.comb(n2, k) * _SQRT_FACT[p] * _SQRT_FACT[q]
-                if (n2 - k) % 2:
-                    coeff = -coeff
-                new = list(occ)
-                new[i1] = p
-                new[i2] = q
-                key = tuple(new)
-                out[key] = out.get(key, 0.0) + base * coeff
-    return FockState(state.registry, _pruned(out))
+        divisor, terms = expansion
+        base = amp / divisor
+        new = list(occ)
+        for p, q, coeff in terms:
+            new[i1] = p
+            new[i2] = q
+            key = tuple(new)
+            out[key] = out.get(key, 0.0) + base * coeff
+    return _unchecked(state.registry, _pruned(out))
 
 
 def apply_phase_shift(state: FockState, mode: str, phi: float) -> FockState:
@@ -178,7 +209,7 @@ def apply_phase_shift(state: FockState, mode: str, phi: float) -> FockState:
     i = state.index(mode)
     factors = [complex(math.cos(k * phi), math.sin(k * phi)) for k in range(OCCUPANCY_CAP + 1)]
     out = {occ: amp * factors[occ[i]] for occ, amp in state.amplitudes.items()}
-    return FockState(state.registry, _pruned(out))
+    return _unchecked(state.registry, _pruned(out))
 
 
 @dataclass(frozen=True)
@@ -229,7 +260,7 @@ def project_onto(state: FockState, modes: Sequence[str], counts: Sequence[int]) 
             kept[occ] = amp
             prob += abs(amp) ** 2
     if prob <= 0.0:
-        return 0.0, FockState(state.registry, {})
+        return 0.0, _unchecked(state.registry, {})
     scale = 1.0 / math.sqrt(prob)
-    return prob, FockState(state.registry, _pruned({occ: a * scale for occ, a in kept.items()}))
+    return prob, _unchecked(state.registry, _pruned({occ: a * scale for occ, a in kept.items()}))
 

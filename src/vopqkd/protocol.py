@@ -296,6 +296,7 @@ class SessionConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {f}")
 
 
+@functools.lru_cache(maxsize=64)
 def encoded_pair_state(bit: int, modes: Tuple[str, str], photons: int = 1) -> FockState:
     """Source path: inject `photons` on the bit's input port, then the splitter.
 
@@ -303,6 +304,10 @@ def encoded_pair_state(bit: int, modes: Tuple[str, str], photons: int = 1) -> Fo
     carrier (|01> + bit|10>)/sqrt(2); two photons yield
     (1/2)|20> + (bit/sqrt(2))|11> + (1/2)|02>, both in (stored, traveling)
     ket order.
+
+    A constant of its arguments, built once per process and shared by every
+    session (the protocol's modes give 8 states): gates never change their
+    input, and no caller may change the returned state.
     """
     if bit not in (-1, 1):
         raise ValueError(f"bit must be +1 or -1, got {bit}")

@@ -221,6 +221,68 @@ def test_bad_input_exits_with_usage_error(tmp_path, capsys, argv, content):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "jsonl"])
+def test_oracle_rejects_formats_other_than_csv(tmp_path, capsys, fmt):
+    argv = ["oracle", "--scenario", "honest", "--rounds", "100", "--seed", "5"]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"format": fmt}))
+    for extra in (["--format", fmt], ["--config", str(path)]):
+        assert main(argv + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert captured.out == ""
+
+
+def test_oracle_writes_csv_without_a_format(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"rounds": 100, "seed": 5}))
+    outputs = []
+    for argv in (["oracle", "--config", str(path)], ["oracle", "--config", str(path), "--format", "csv"]):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0].startswith("stage,outcome,exact_p,empirical_p,abs_error\n")
+    assert outputs[0] == outputs[1]
+
+
+class TestSharedParser:
+    GOOD = ["run", "--rounds", "500", "--seed", "3", "--attack", "mitm", "--format", "jsonl"]
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["run", "--rounds", "abc", "--seed", "3"],
+            ["run", "--rounds", "500", "--seed", "3", "--eta", "2"],
+            ["run", "--seed", "3", "--attack", "laser"],
+            ["oracle", "--seed", "3", "--format", "json"],
+        ],
+    )
+    def test_failed_call_leaves_no_trace(self, capsys, bad):
+        assert main(self.GOOD) == 0
+        alone = capsys.readouterr().out
+        assert main(bad) == 1
+        capsys.readouterr()
+        assert main(self.GOOD) == 0
+        assert capsys.readouterr().out == alone
+
+    def test_abort_flag_does_not_carry_over(self):
+        argv = [
+            "run", "--rounds", "400", "--seed", "6", "--attack", "phase",
+            "--phi", str(math.pi), "--control-announce-fraction", "0.5",
+        ]
+        assert main(argv + ["--abort-on-detection"]) == 3
+        assert main(argv) == 0
+        assert parse(argv).abort_on_detection is False
+
+    def test_config_keys_do_not_leak(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"rounds": 500, "attack": "mitm", "eta": 0.5, "format": "jsonl"}))
+        assert parse(["run", "--config", str(path), "--seed", "1"]).attack == "mitm"
+        assert parse(["run", "--seed", "1"]) == ScenarioConfig(seed=1)
+
+
 class TestReport:
     def _summary_file(self, tmp_path, extra_args=()):
         out = tmp_path / "summary.json"

@@ -111,6 +111,36 @@ class TestBeamSplitter:
         assert abs(amp(s, (1, 1, 0)) - 1 / R2) < 1e-12
         assert abs(amp(s, (1, 0, 1)) - 1 / R2) < 1e-12
 
+    def test_more_photons_than_the_cap_rejected(self):
+        with pytest.raises(fock.OccupancyError):
+            apply_beam_splitter(basis_state(("x", "y"), (3, 2)), "x", "y")
+
+
+def _binomial_expansion(n1, n2):
+    """The beam splitter's terms for n1 photons on in1 and n2 on in2, from
+    the binomial expansion of the transformed creation-operator monomials:
+    [(p, q, amplitude factor)] with j photons of in1 and k of in2 leaving
+    on in1, in (j, k) order."""
+    norm = math.sqrt(math.factorial(n1) * math.factorial(n2) * 2.0 ** (n1 + n2))
+    terms = []
+    for j in range(n1 + 1):
+        for k in range(n2 + 1):
+            p, q = j + k, (n1 - j) + (n2 - k)
+            c = math.comb(n1, j) * math.comb(n2, k) * math.sqrt(math.factorial(p) * math.factorial(q))
+            terms.append((p, q, (-1) ** (n2 - k) * c / norm))
+    return terms
+
+
+def test_beam_splitter_table_is_the_binomial_expansion():
+    cap = fock.OCCUPANCY_CAP
+    pairs = {(n1, n2) for n1 in range(cap + 1) for n2 in range(cap + 1) if n1 + n2 <= cap}
+    assert set(fock._BEAM_SPLITTER_TERMS) == pairs
+    for (n1, n2), (divisor, terms) in fock._BEAM_SPLITTER_TERMS.items():
+        expected = _binomial_expansion(n1, n2)
+        assert [(p, q) for p, q, _ in terms] == [(p, q) for p, q, _ in expected]
+        for (_, _, coeff), (_, _, factor) in zip(terms, expected):
+            assert abs(coeff / divisor - factor) < 1e-15
+
 
 class TestPhaseShift:
     def test_zero_phase_identity(self):

@@ -74,6 +74,40 @@ def test_phase_shift_preserves_norm(state, mode, phi):
     assert abs(fock.apply_phase_shift(state, mode, phi).norm() - 1.0) < 1e-10
 
 
+def assert_rebuilds(state):
+    """A gate output passes the validating public constructor unchanged."""
+    assert fock.FockState(state.registry, dict(state.amplitudes)) == state
+    assert isinstance(state.registry, tuple)
+
+
+mode_pairs = st.sampled_from(list(itertools.permutations(REGISTRY, 2)))
+
+
+@PROPERTY
+@given(states(), mode_pairs, st.sampled_from(REGISTRY), st.floats(-10.0, 10.0))
+def test_unitary_gate_outputs_are_valid_states(state, pair, mode, phi):
+    assert_rebuilds(fock.apply_beam_splitter(state, *pair))
+    assert_rebuilds(fock.apply_phase_shift(state, mode, phi))
+
+
+@PROPERTY
+@given(states(), states())
+def test_tensor_output_is_a_valid_state(first, second):
+    second = fock.FockState(("u", "v", "w"), second.amplitudes)
+    assert_rebuilds(fock.tensor(first, second))
+    assert_rebuilds(fock.tensor(first))
+
+
+@PROPERTY
+@given(states(), st.sets(st.sampled_from(REGISTRY), min_size=1), st.data())
+def test_projection_output_is_a_valid_state(state, modes, data):
+    modes = sorted(modes)
+    counts = data.draw(st.tuples(*[st.integers(0, 2)] * len(modes)))
+    prob, post = fock.project_onto(state, modes, counts)
+    assert_rebuilds(post)
+    assert (prob > 0.0) == bool(post.amplitudes)
+
+
 @KERNEL
 @given(attacks, devices, devices)
 def test_every_case_table_sums_to_one(strategy, alice, bob):

@@ -78,6 +78,31 @@ class TestEncoding:
         with pytest.raises(ValueError):
             encoded_pair_state(0, ("x", "y"), 1)
 
+    def test_source_states_are_shared_constants(self):
+        for bit in (1, -1):
+            for photons in (1, 2):
+                s = encoded_pair_state(bit, protocol.ALICE_MODES, photons)
+                assert encoded_pair_state(bit, protocol.ALICE_MODES, photons) is s
+
+    def test_gates_leave_memoized_source_states_unchanged(self):
+        sources = [
+            encoded_pair_state(bit, modes, photons)
+            for bit in (1, -1) for modes in (protocol.ALICE_MODES, protocol.BOB_MODES) for photons in (1, 2)
+        ]
+        before = [dict(s.amplitudes) for s in sources]
+        for s in sources:
+            fock.apply_beam_splitter(s, *s.registry)
+            fock.apply_phase_shift(s, s.registry[1], 0.7)
+            fock.tensor(s, fock.one_photon_pair(("e1", "e2"), 1))
+            fock.project_onto(s, s.registry[:1], (1,))
+        device = DeviceModel(p2=0.5)
+        for kind in ATTACK_KINDS:
+            attack = AttackStrategy(kind, phi=1.0) if kind == "phase" else AttackStrategy(kind)
+            analysis.exact_readout_distribution(
+                SessionConfig(rounds=1, seed=0, attack=attack, device_alice=device, device_bob=device)
+            )
+        assert [s.amplitudes for s in sources] == before
+
 
 class TestInference:
     @pytest.mark.parametrize(
