@@ -383,7 +383,8 @@ def latent_distribution(
     attack: Attack, n: int, m: int, na: int, nb: int, bits: tuple, recombine: bool
 ) -> OutcomeDistribution:
     """Exact joint photon counts on ("a1", rail to Alice, "b1", rail to Bob)
-    followed by the adversary's ports, for one assignment of the latents.
+    followed by the adversary's ports, for one assignment of the latents,
+    in canonical order: entries sorted by their port tuple.
 
     The channel returns a weighted ensemble of pure states; with `recombine`
     each branch passes both recombination splitters (count-control rounds
@@ -407,7 +408,7 @@ def latent_distribution(
         raise RuntimeError(
             f"mixture total {total} drifted past tolerance for latents {(n, m, na, nb, bits)}"
         )
-    return OutcomeDistribution(ports, entries)
+    return OutcomeDistribution(ports, dict(sorted(entries.items())))
 
 
 def round_uniforms(seed: int, start: int, stop: int) -> np.ndarray:

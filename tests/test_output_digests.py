@@ -25,24 +25,24 @@ COMMANDS = {
 }
 
 DIGESTS = {
-    ("oracle", "none", "ideal"): "20f957978e2ab4c27cbfa4b942c74278916fe1600c012969258082111d408abd",
-    ("oracle", "none", "lossy"): "5d94f2fda3eb7f05a00eb7c135e9c2bae9106e1dff0b663e51562fc2792cfc95",
-    ("oracle", "phase", "ideal"): "d4033ff9df75c601220f6afc2a8c54a3aaaa4a2d3b53a5e1eaef015436e0bb99",
-    ("oracle", "phase", "lossy"): "6c4f834ea552d6bd33b931e8f1104f81a2e0dbb7a66042d8fe63ecc81dfbd37b",
-    ("oracle", "mitm", "ideal"): "7d087f327a5b58368994cde65a0d5f914b60904b0f6fa43b64f7713a0fc701d7",
-    ("oracle", "mitm", "lossy"): "bce71b79d6b2e8022d5eac5eab9c0f3cac434a27b70530def5f2f5b874e43433",
-    ("oracle", "devil", "ideal"): "dbf22170dea6e61137676fa290d59c0784898b2b373c009ada6b8a7646f68b4d",
-    ("oracle", "devil", "lossy"): "11ab765020341200b3e488304e2f42b36c6b6a7826d5441daeb99a40bb068b74",
+    ("oracle", "none", "ideal"): "ac149eef714d6b42988a3a5a0fa1cf3c4d6c57c7cf573aeabd25fed1d06d1c46",
+    ("oracle", "none", "lossy"): "6b5757170ef0a36246cae28334f623bae516df881cafe4f0b2d01c9c4e469fab",
+    ("oracle", "phase", "ideal"): "0762001eb07045947ae58bf73bc9226c497ba4b61d3199fda51c965e56fbaa09",
+    ("oracle", "phase", "lossy"): "64fff8042b0fb09a14fe02d672318d209e2166da4c58232c7936a2e0f087ae86",
+    ("oracle", "mitm", "ideal"): "c5c51be206e3cea69dd47229653e99475b7e67934d801e74bc42d8d1b0c67d43",
+    ("oracle", "mitm", "lossy"): "6bc8a678b3639190f220b95fdd8c66b27301860e012a2e11d9c6d8927a34a0fb",
+    ("oracle", "devil", "ideal"): "9437331365f37b122c7d4a442204dd727bc0a4d305292d2ad6663eabfddb7bd7",
+    ("oracle", "devil", "lossy"): "18ddfb6e1dca5cfaee7cac117fed4644973640b91f3ac163e14c415b2a8ec4d3",
     ("oracle", "short-circuit", "ideal"): "3a288944481e1c6492518cad6bbc35a115384ad57987fff7c1d77c151cfc9d9b",
     ("oracle", "short-circuit", "lossy"): "a29d08e8558154d3de3acc81e85bb2759de16a30fd8b70be3a40c86fb539b69a",
-    ("jsonl", "none", "ideal"): "1c9f1d0d6b4da06a39071ceab0888658fa7581cf2436ae791a234151f6137661",
-    ("jsonl", "none", "lossy"): "bd505ec5ef6940ca54492fe716e7b8599ad0527776946da1ecea1b49b78007ec",
-    ("jsonl", "phase", "ideal"): "b768dbdd854449495f60013849b3d0cb1ee911eeef77941b3d481ab57b9024bf",
-    ("jsonl", "phase", "lossy"): "342a9083038046207ac4eb08c5393a8e836cd8ab9a09ef88a828946fc12f687d",
-    ("jsonl", "mitm", "ideal"): "51b1106c9206a917981b5a7e2b8c906dbf031245fc32fe1ff85bd3af48c1aae8",
-    ("jsonl", "mitm", "lossy"): "7944d6e114ff5a1a3a34855375471ffe8dffc4ad47c30c6ec177ee1ff4096564",
-    ("jsonl", "devil", "ideal"): "538e8c0959ace04b328faa0e20169a5aaecbaf6f9e1bf052fa4fe7b9c2580b50",
-    ("jsonl", "devil", "lossy"): "2bbebe82f927bb6ece4cebf56a8c446ea283e79aad345156b93f0e96808f41d5",
+    ("jsonl", "none", "ideal"): "1937bd149625e981654e063bb778c093bbb398f4cec39bf27e26dde89e8ac629",
+    ("jsonl", "none", "lossy"): "82477668fde1d3ee6dc55be9b0fbc312f600b2caaaada7b65520e13aeda5111c",
+    ("jsonl", "phase", "ideal"): "08bb19b77fc1367daedf1df932c178282acac0da26cb77c549c9d18481c84c5e",
+    ("jsonl", "phase", "lossy"): "63c41841fab401a4574122f8f02b2ec2671a033529971449ced285c76c26dc6c",
+    ("jsonl", "mitm", "ideal"): "98eb3f58f6d08ae77017bfcd738987215575ac2fcc3698fd6233d10c9e87e978",
+    ("jsonl", "mitm", "lossy"): "0b08864810e7efa539a82077f862c64c730a4c29a2c817c1d32052cb07eb04b1",
+    ("jsonl", "devil", "ideal"): "a91c1d4382c14b14da9bb7be9668f94510b17b92b71ed970b9203d75d0311697",
+    ("jsonl", "devil", "lossy"): "70ea139622dac95d408175bebcf5e95f2ddb5ecc45151e547a431902e58c0923",
     ("jsonl", "short-circuit", "ideal"): "47eaec3594b5118e1403c30ab23c7d786be89f3ad55512564c9ff14b49c9b655",
     ("jsonl", "short-circuit", "lossy"): "ff0bace1e225179f2850df526819f7a7eaab52dbe4149d676ad5b986b875dd0f",
 }
