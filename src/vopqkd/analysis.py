@@ -220,20 +220,20 @@ def exact_joint_distribution(
 ) -> Dict[Tuple[Readout, EveCounts], float]:
     """Exact joint distribution of the device-reported (alice_counts,
     bob_counts) and the adversary's own counts for one round: the sampler's
-    case tables and `latent_distribution`, summed instead of drawn. Pass the
-    `engine` that sampled the session to reuse its latent distributions."""
+    case tables and latent outcome tables, summed instead of drawn. Pass the
+    `engine` that sampled the session to reuse its latent tables."""
     engine = engine or RoundEngine(cfg)
     alice, bob = cfg.device_alice, cfg.device_bob
+    latents = engine.latents(recombine=True)
+    weights = [math.prod(p for _, p in cases) for cases in itertools.product(*engine.tables)]
+    weighted = np.repeat(weights, np.diff(latents.bounds)) * latents.p
+    per_row = np.bincount(latents.row, weighted, minlength=len(latents.rows))
     acc: Dict[Tuple[Readout, EveCounts], float] = {}
-    for latents in itertools.product(*engine.tables):
-        weight = math.prod(p for _, p in latents)
-        n, m, na, nb, *bits = (value for value, _ in latents)
-        dist = engine.distribution(n, m, na, nb, tuple(bits), recombine=True)
-        for occ, p in dist.entries.items():
-            for ra, pa in protocol.detector_cases(occ[:2], alice.eta, alice.detector_kind):
-                for rb, pb in protocol.detector_cases(occ[2:4], bob.eta, bob.detector_kind):
-                    key = ((ra, rb), occ[4:])
-                    acc[key] = acc.get(key, 0.0) + weight * p * pa * pb
+    for occ, p in zip(map(tuple, latents.rows.tolist()), per_row.tolist()):
+        for ra, pa in protocol.detector_cases(occ[:2], alice.eta, alice.detector_kind):
+            for rb, pb in protocol.detector_cases(occ[2:4], bob.eta, bob.detector_kind):
+                key = ((ra, rb), occ[4:])
+                acc[key] = acc.get(key, 0.0) + p * pa * pb
     return acc
 
 

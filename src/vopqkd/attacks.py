@@ -1,24 +1,30 @@
 """Eavesdropping strategies acting on the two traveling channel modes.
 
-Every strategy is a plugin that rewires (and possibly transforms) the joint
-state at the channel: it receives the traveling rails "a2" (Alice -> Bob)
-and "b2" (Bob -> Alice), may tensor in its own modes, and tells each party
-which rail arrives at their recombiner. Stored rails "a1"/"b1" are off
-limits. A strategy declares its per-round random bits as case tables
-(`bit_cases`), keeps `channel` a pure function of those bits, and is
-stateless between rounds. `channel` returns a weighted ensemble of pure
-states, so an adversary who measures mid-round and adapts her resend is one
-more ensemble, not a separate code path.
+Every strategy is a plugin that rewires (and possibly transforms) the
+channel: it receives the traveling rails "a2" (Alice -> Bob) and "b2"
+(Bob -> Alice), may add its own modes, and tells each party which rail
+arrives at their recombiner. Stored rails "a1"/"b1" are off limits. A
+strategy declares its per-round random bits as case tables (`bit_cases`)
+and is stateless between rounds.
+
+A strategy is an optical network, declared as data: its own `modes`, its
+`gates` (beam splitters and phase shifts), its `rails` to Alice and to Bob,
+and the input port each of its bits selects (`bit_ports`). `networks()`
+lists the networks a round runs; an adversary who measures mid-round and
+adapts her resend runs one network per resend case. The engine and the
+exact oracle evolve these networks with `fock.evolve_latents`.
+`channel` is the same strategy on the sparse `FockState` algebra, kept as
+the reference the networks are tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from . import fock
-from .fock import FockState
+from .fock import BeamSplitter, FockState, PhaseShift
 
 # A case table [(value, probability)] defines one random step; the sampler
 # draws from it and the exact oracle sums over it.
@@ -57,12 +63,36 @@ class AttackStrategy:
                     raise ValueError(f"unknown channel {ch!r}; choose from {CHANNEL_NAMES}")
 
 
+class Network(NamedTuple):
+    """One optical network of an attack: its `gates`, run after the parties'
+    sources and before their recombiners, and the photons it injects
+    whatever the bits (`inputs`, one port per photon). A network that stands
+    for one resend case of a measuring adversary carries the case's `weight`
+    and keeps only the entries whose total count on `eve_ports` lies in the
+    range `eve_totals` (None keeps every entry)."""
+
+    gates: Tuple[fock.Gate, ...] = ()
+    inputs: Tuple[str, ...] = ()
+    weight: float = 1.0
+    eve_totals: Optional[range] = None
+
+
 class Attack:
     """Base channel hook: pass the rails through untouched."""
 
     kind = "none"
     eve_ports: Tuple[str, ...] = ()
     bit_cases: Tuple[Cases, ...] = ()  # one case table per adversary bit, in draw order
+    modes: Tuple[str, ...] = ()  # the adversary's own modes
+    gates: Tuple[fock.Gate, ...] = ()
+    rails: Tuple[str, str] = (RAIL_TO_ALICE, RAIL_TO_BOB)  # (to Alice, to Bob)
+    # Per bit of `bit_cases`: (input port of bit +1, input port of bit -1);
+    # the bit puts one photon on its port.
+    bit_ports: Tuple[Tuple[str, str], ...] = ()
+
+    def networks(self) -> Tuple[Network, ...]:
+        """The networks a round runs; their entries add up."""
+        return (Network(self.gates),)
 
     def channel(self, state: FockState, bits: tuple) -> Tuple[Ensemble, str, str]:
         """Act on the channel. Returns (weighted pure states, rail_to_alice, rail_to_bob)."""
@@ -88,6 +118,8 @@ class PhaseTamperAttack(Attack):
     def __init__(self, phi: float, channels: Tuple[str, ...]):
         self.phi = phi
         self.channels = channels
+        rails = {"alice-to-bob": RAIL_TO_BOB, "bob-to-alice": RAIL_TO_ALICE}
+        self.gates = tuple(PhaseShift(rails[ch], phi) for ch in CHANNEL_NAMES if ch in channels)
 
     def channel(self, state, bits):
         if "alice-to-bob" in self.channels:
@@ -109,6 +141,17 @@ class InterceptResendAttack(Attack):
     kind = "mitm"
     eve_ports = ("e1", RAIL_TO_BOB, "e3", RAIL_TO_ALICE)
     bit_cases = (BIT_CASES, BIT_CASES)  # (p toward Alice, q toward Bob)
+    modes = ("e1", "e2", "e3", "e4")
+    # Her two sources, then her recombiners: kept mode on in1, intercepted
+    # rail on in2.
+    gates = (
+        BeamSplitter("e1", "e2"),
+        BeamSplitter("e3", "e4"),
+        BeamSplitter("e1", RAIL_TO_BOB),
+        BeamSplitter("e3", RAIL_TO_ALICE),
+    )
+    rails = ("e2", "e4")
+    bit_ports = (("e1", "e2"), ("e3", "e4"))
 
     def channel(self, state, bits):
         p, q = bits
@@ -141,6 +184,25 @@ class AdaptiveInterceptAttack(InterceptResendAttack):
     kind = "devil"
     eve_ports = ("e1", RAIL_TO_BOB)
     bit_cases = (BIT_CASES,)  # p; q belongs to the resend on the forward branch
+    bit_ports = (("e1", "e2"),)
+    gates = (BeamSplitter("e1", "e2"), BeamSplitter("e1", RAIL_TO_BOB))
+
+    def networks(self):
+        """One network per resend case of `resend_cases`. Eve's ports are
+        not touched after her splitter, so measuring them last gives the
+        same joint counts; each network keeps the entries whose Eve total
+        selects its case: total 0 -> vacuum, total 1 -> a fresh (e3, e4)
+        pair with q = +-1, total >= 2 -> one photon on e4."""
+        pair = self.gates + (BeamSplitter("e3", "e4"),)
+        return (
+            Network(self.gates, eve_totals=range(0, 1)),
+            *(
+                Network(pair, (port,), weight, eve_totals=range(1, 2))
+                for port, (_, weight) in zip(("e3", "e4"), BIT_CASES)  # q = +1, -1
+            ),
+            # Her two ports hold at most 2 * OCCUPANCY_CAP photons.
+            Network(self.gates, ("e4",), eve_totals=range(2, 2 * fock.OCCUPANCY_CAP + 1)),
+        )
 
     def resend_cases(self, eve_total: int) -> Ensemble:
         """Channel content toward Bob (a state holding rail "e4") given Eve's count."""
@@ -168,6 +230,7 @@ class ShortCircuitAttack(Attack):
     """
 
     kind = "short-circuit"
+    rails = (RAIL_TO_BOB, RAIL_TO_ALICE)
 
     def channel(self, state, bits):
         return [(state, 1.0)], RAIL_TO_BOB, RAIL_TO_ALICE

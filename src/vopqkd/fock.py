@@ -1,18 +1,27 @@
-"""Sparse few-mode bosonic state algebra.
+"""Few-mode bosonic optics: a batched linear-optics kernel and the sparse
+state algebra it is checked against.
 
-States live on a fixed, ordered registry of named optical modes and are
-stored as sparse maps from photon occupation tuples to complex amplitudes.
-Unitaries (50:50 beam splitter, phase shifter) are exact at double
-precision; photon-counting outcomes come as exact Born-rule distributions,
-which the protocol layer samples, so everything is reproducible and
-side-effect free.
+The kernel (`network_unitary`, `evolve_latents`) describes a network of
+50:50 beam splitters and phase shifters as the matrix it applies to
+creation operators and evolves many input-port assignments at once, as
+arrays over the occupation space of N photons on M modes. The protocol's
+engine and exact oracle run on it.
+
+The sparse algebra (`FockState` and its gates) stores a state as a map from
+photon occupation tuples to complex amplitudes on a fixed, ordered registry
+of named modes and applies one gate at a time. It is the documented
+reference the kernel is tested against. Both are exact at double precision.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, NamedTuple, Sequence, Tuple, Union
+
+import numpy as np
 
 Occupation = Tuple[int, ...]
 
@@ -264,3 +273,133 @@ def project_onto(state: FockState, modes: Sequence[str], counts: Sequence[int]) 
     scale = 1.0 / math.sqrt(prob)
     return prob, _unchecked(state.registry, _pruned({occ: a * scale for occ, a in kept.items()}))
 
+
+
+# ---------------------------------------------------------------------------
+# Batched linear-optics kernel
+# ---------------------------------------------------------------------------
+#
+# A network of beam splitters and phase shifters maps each creation operator
+# linearly, a+_in -> sum_k U[k, in] a+_k (Scheel, quant-ph/0406127). An input
+# of N photons on given ports is a product of N creation operators on the
+# vacuum, so its output amplitudes over the occupation space of N photons on
+# M modes follow from U alone, and many inputs evolve as one array.
+
+
+class BeamSplitter(NamedTuple):
+    """`apply_beam_splitter(state, in1, in2)` as data."""
+
+    in1: str
+    in2: str
+
+
+class PhaseShift(NamedTuple):
+    """`apply_phase_shift(state, mode, phi)` as data."""
+
+    mode: str
+    phi: float
+
+
+Gate = Union[BeamSplitter, PhaseShift]
+
+
+def network_unitary(modes: Sequence[str], gates: Sequence[Gate]) -> np.ndarray:
+    """The (M, M) matrix U of `gates` applied in order to `modes`: a creation
+    operator on mode j leaves as sum_k U[k, j] a+_k. The gates follow the
+    conventions of `apply_beam_splitter` and `apply_phase_shift`."""
+    index = {mode: i for i, mode in enumerate(_check_registry(modes))}
+
+    def position(mode: str) -> int:
+        if mode not in index:
+            raise ModeError(f"mode {mode!r} not in network {tuple(modes)}")
+        return index[mode]
+
+    # Row k of U, as plain lists: a network has a handful of modes and gates.
+    rows = [[complex(i == j) for j in range(len(index))] for i in range(len(index))]
+    for gate in gates:
+        if isinstance(gate, BeamSplitter):
+            i, j = position(gate.in1), position(gate.in2)
+            if i == j:
+                raise ModeError(f"beam splitter needs two distinct modes, got {gate.in1!r} twice")
+            r = math.sqrt(2.0)
+            rows[i], rows[j] = (
+                [(a + b) / r for a, b in zip(rows[i], rows[j])],
+                [(a - b) / r for a, b in zip(rows[i], rows[j])],
+            )
+        else:
+            k = position(gate.mode)
+            factor = complex(math.cos(gate.phi), math.sin(gate.phi))
+            rows[k] = [a * factor for a in rows[k]]
+    return np.array(rows)
+
+
+def occupation_codes(rows: np.ndarray, base: int) -> np.ndarray:
+    """Each row of counts below `base` as one integer; integer order is the
+    rows' lexicographic order."""
+    return rows @ (base ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64))
+
+
+@functools.lru_cache(maxsize=None)
+def occupation_space(nmodes: int, photons: int) -> np.ndarray:
+    """Every occupation of `photons` photons on `nmodes` modes, one row each,
+    in lexicographic order. A constant of its arguments, built on first use."""
+    rows = np.zeros((math.comb(nmodes + photons - 1, photons), nmodes), dtype=np.int64)
+    for row, combo in zip(rows, itertools.combinations_with_replacement(range(nmodes), photons)):
+        np.add.at(row, list(combo), 1)
+    rows = rows[np.argsort(occupation_codes(rows, photons + 1))]
+    rows.flags.writeable = False
+    return rows
+
+
+@functools.lru_cache(maxsize=None)
+def _creation_map(nmodes: int, photons: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A creation operator from `photons - 1` to `photons` photons as a
+    gather: (source, mode, starts). Occupation t of the larger space
+    receives sum v[source] * c[mode] over its terms, the terms of t being
+    those from starts[t] up to the next start: a+_j brings t - e_j to t.
+    The ladder factors sqrt(t_j) are left to `_ladder_norms`."""
+    space = occupation_space(nmodes, photons)
+    weights = occupation_codes(np.eye(nmodes, dtype=np.int64), photons + 1)
+    target, mode = np.nonzero(space)  # row-major: grouped by target
+    source = np.searchsorted(
+        occupation_codes(occupation_space(nmodes, photons - 1), photons + 1),
+        occupation_codes(space, photons + 1)[target] - weights[mode],
+    )
+    starts = np.flatnonzero(np.concatenate(([True], target[1:] != target[:-1])))
+    return source, mode, starts
+
+
+@functools.lru_cache(maxsize=None)
+def _ladder_norms(nmodes: int, photons: int) -> np.ndarray:
+    """sqrt(prod_j t_j!) for each occupation t of the space: the product of
+    the ladder factors sqrt(t_j) met on any path of creation operators from
+    the vacuum to t."""
+    factorials = np.array([math.factorial(c) for c in range(photons + 1)], dtype=float)
+    return np.sqrt(factorials[occupation_space(nmodes, photons)].prod(axis=1))
+
+
+def evolve_latents(unitary: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """Output amplitudes of a network for a batch of inputs, shape (dim, L)
+    over `occupation_space(M, N)`; real when the unitary is.
+
+    Row l of `inputs` (L, N) holds the input mode of each of latent l's N
+    photons; its input state is the product of their creation operators on
+    the vacuum, normalized. Each photon applies a+_in -> sum_k U[k, in] a+_k
+    to every latent at once.
+    """
+    inputs = np.asarray(inputs, dtype=np.intp)
+    latents, photons = inputs.shape
+    if not unitary.imag.any():
+        unitary = unitary.real
+    # One photon: occupation_space(M, 1) lists e_{M-1}, ..., e_0.
+    amplitudes = unitary[::-1, inputs[:, 0]] if photons else np.ones((1, latents))
+    for k in range(1, photons):
+        source, mode, starts = _creation_map(len(unitary), k + 1)
+        coefficients = unitary[:, inputs[:, k]]  # (M, L): where photon k goes, per latent
+        amplitudes = np.add.reduceat(amplitudes[source] * coefficients[mode], starts, axis=0)
+    # The product of creation operators has norm sqrt(prod_j c_j!) for
+    # c_j photons entering on mode j.
+    entering = (inputs[:, :, None] == np.arange(len(unitary))).sum(axis=1)
+    factorials = np.array([math.factorial(c) for c in range(photons + 1)], dtype=float)
+    norms = np.sqrt(factorials[entering].prod(axis=1))
+    return amplitudes * (_ladder_norms(len(unitary), photons)[:, None] / norms)

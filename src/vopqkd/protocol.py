@@ -16,8 +16,8 @@ correlation).
 Every random step of a round (the bits, the source emissions, the
 adversary's bits, detector reports) is one case table [(value, prob)]. The
 engine draws whole blocks of rounds from the tables as numpy columns; the
-exact oracle in `analysis` sums over the same tables and the same
-`latent_distribution`.
+exact oracle in `analysis` sums over the same tables and the same latent
+outcome tables (`build_latents`).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from . import attacks as attacks_mod
 from . import fock
 from .attacks import BIT_CASES, Attack, AttackStrategy, Cases
-from .fock import FockState, OutcomeDistribution
+from .fock import BeamSplitter, FockState, OutcomeDistribution
 
 ALICE_MODES = ("a1", "a2")  # (stored, traveling)
 BOB_MODES = ("b1", "b2")
@@ -411,6 +411,134 @@ def latent_distribution(
     return OutcomeDistribution(ports, dict(sorted(entries.items())))
 
 
+class Latents(NamedTuple):
+    """Every latent's outcome table for one recombine flag, as flat arrays.
+
+    `rows` holds every distinct port row (counts on "a1", rail to Alice,
+    "b1", rail to Bob, then the adversary's ports) in lexicographic order.
+    Latent `keys[i]` = (n, m, na, nb, bits) owns the entries
+    `bounds[i]:bounds[i + 1]`: ascending indices `row` into `rows`, so its
+    table is in canonical order, and their probabilities `p`.
+    """
+
+    keys: List[tuple]
+    rows: np.ndarray  # (distinct rows, ports) int8
+    row: np.ndarray
+    p: np.ndarray
+    bounds: np.ndarray
+
+    def table(self, i: int) -> Table:
+        entries = slice(self.bounds[i], self.bounds[i + 1])
+        return Table(self.rows[self.row[entries]], np.cumsum(self.p[entries]))
+
+
+def latent_keys(tables: Sequence[Cases]) -> List[tuple]:
+    """Every latent assignment (n, m, na, nb, bits) of the case tables, in
+    `itertools.product` order."""
+    return [
+        (n, m, na, nb, tuple(bits))
+        for n, m, na, nb, *bits in itertools.product(*[[v for v, _ in cases] for cases in tables])
+    ]
+
+
+def _checked_latents(keys, latent, codes, p, base, nports, merge=True) -> Latents:
+    """`Latents` from pieces (latent index, port-row code, probability) in
+    any order. With `merge`, pieces of one latent and row add up; without,
+    there must be none. Every latent's total must be 1 within NORM_TOL."""
+    order = np.lexsort((codes, latent))
+    latent, codes, p = latent[order], codes[order], p[order]
+    if merge:
+        first = np.flatnonzero(
+            np.concatenate(([True], (latent[1:] != latent[:-1]) | (codes[1:] != codes[:-1])))
+        )
+        latent, codes, p = latent[first], codes[first], np.add.reduceat(p, first)
+    totals = np.bincount(latent, p, minlength=len(keys))
+    for i in np.flatnonzero(np.abs(totals - 1.0) > fock.NORM_TOL)[:1]:
+        raise RuntimeError(f"mixture total {totals[i]} drifted past tolerance for latents {keys[i]}")
+    codes, row = np.unique(codes, return_inverse=True)
+    rows = (codes[:, None] // base ** np.arange(nports - 1, -1, -1)) % base  # the codes' digits
+    return Latents(keys, rows.astype(np.int8), row, p, np.searchsorted(latent, np.arange(len(keys) + 1)))
+
+
+def build_latents(attack: Attack, tables: Sequence[Cases], recombine: bool) -> Latents:
+    """Every latent of the case tables, evolved through the attack's networks
+    by `fock.evolve_latents`: one call per distinct (gates, photon number).
+
+    Alice's bit n puts her na photons on "a1" (+1) or "a2" (-1) ahead of her
+    source splitter, Bob's m his nb photons on "b1" or "b2", and each
+    adversary bit one photon on its `bit_ports` entry. With `recombine` the
+    parties' recombiners close the network (count-control rounds skip
+    them). An entry is kept when its probability exceeds fock.PRUNE_EPS**2,
+    the square of the amplitude the sparse algebra prunes.
+    """
+    keys = latent_keys(tables)
+    to_alice, to_bob = attack.rails
+    ports = (ALICE_MODES[0], to_alice, BOB_MODES[0], to_bob) + attack.eve_ports
+    # The measured ports lead the modes, so the occupation space, in
+    # lexicographic order, lists the occupations of each port row as one run.
+    modes = ports + tuple(m for m in ALICE_MODES + BOB_MODES + attack.modes if m not in ports)
+    position = {mode: i for i, mode in enumerate(modes)}
+    sources = (BeamSplitter(*ALICE_MODES), BeamSplitter(*BOB_MODES))
+    recombiners = (BeamSplitter(ALICE_MODES[0], to_alice), BeamSplitter(BOB_MODES[0], to_bob))
+    party_inputs = [
+        [ALICE_MODES[n == -1]] * na + [BOB_MODES[m == -1]] * nb
+        + [pair[bit == -1] for pair, bit in zip(attack.bit_ports, bits)]
+        for n, m, na, nb, bits in keys
+    ]
+    # Every (network, latent), grouped by the network's gates and the photon
+    # number: each group evolves in one call.
+    networks = attack.networks()
+    selective = any(net.eve_totals is not None for net in networks)
+    groups: Dict[tuple, list] = {}
+    for net in networks:
+        totals = range(0, 2**31) if net.eve_totals is None else net.eve_totals
+        for i, inputs in enumerate(party_inputs):
+            inputs = [position[port] for port in inputs + list(net.inputs)]
+            groups.setdefault((net.gates, len(inputs)), []).append(
+                (i, inputs, net.weight, totals.start, totals.stop)
+            )
+    base = 1 + max(photons for _, photons in groups)
+    pieces = []
+    for (gates, photons), runs in groups.items():
+        latent, inputs, weight, lo, hi = (np.array(column) for column in zip(*runs))
+        unitary = fock.network_unitary(modes, sources + gates + (recombiners if recombine else ()))
+        prob = np.abs(fock.evolve_latents(unitary, inputs)) ** 2
+        space = fock.occupation_space(len(modes), photons)
+        if photons > fock.OCCUPANCY_CAP:
+            over = (space.max(axis=1) > fock.OCCUPANCY_CAP)[:, None] & (prob > fock.PRUNE_EPS**2)
+            for occ, col in np.argwhere(over)[:1]:
+                raise fock.OccupancyError(
+                    f"occupation {tuple(space[occ])} of {modes} exceeds cap "
+                    f"{fock.OCCUPANCY_CAP} for latents {keys[latent[col]]}"
+                )
+        rows = space[:, : len(ports)]
+        if len(ports) < len(modes):  # add up each run over the unmeasured modes
+            first = np.flatnonzero(np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1))))
+            rows, prob = rows[first], np.add.reduceat(prob, first, axis=0)
+        prob *= weight
+        if selective:
+            eve_total = rows[:, 4:].sum(axis=1)[:, None]
+            prob *= (eve_total >= lo) & (eve_total < hi)
+        col, row = np.nonzero(prob.T > fock.PRUNE_EPS**2)
+        pieces.append((latent[col], fock.occupation_codes(rows, base)[row], prob[row, col]))
+    latent, codes, p = (np.concatenate(part) for part in zip(*pieces))
+    return _checked_latents(keys, latent, codes, p, base, len(ports), merge=len(networks) > 1)
+
+
+def reference_latents(attack: Attack, tables: Sequence[Cases], recombine: bool) -> Latents:
+    """`build_latents` from `latent_distribution`, one latent at a time on
+    the sparse algebra: the reference the kernel is tested against."""
+    keys = latent_keys(tables)
+    base = 2 * fock.OCCUPANCY_CAP + 1
+    pieces = [
+        (i, sum(c * base**k for k, c in enumerate(reversed(occ))), p)
+        for i, key in enumerate(keys)
+        for occ, p in latent_distribution(attack, *key, recombine).entries.items()
+    ]
+    latent, codes, p = (np.array(part) for part in zip(*pieces))
+    return _checked_latents(keys, latent, codes, p, base, 4 + len(attack.eve_ports))
+
+
 def round_uniforms(seed: int, start: int, stop: int) -> np.ndarray:
     """The (stop - start, UNIFORMS_PER_ROUND) uniforms of rounds [start, stop)."""
     bitgen = np.random.Philox(key=seed, counter=start * (UNIFORMS_PER_ROUND // 4))
@@ -455,9 +583,10 @@ class RoundEngine:
 
     A round is a pure function of (cfg, attack, index, seed): round i reads
     its own uniforms (`round_uniforms`), one slot per random quantity, so any
-    block [start, stop) equals the same rows of [0, N). The engine memoizes
-    `latent_distribution` for each latent assignment it meets; the exact
-    oracle can share that memo through `distribution`.
+    block [start, stop) equals the same rows of [0, N). The first time the
+    engine meets a recombine flag it builds every latent's outcome table of
+    that flag in one `build_latents` call and keeps it; the exact oracle can
+    share them through `latents`.
     """
 
     def __init__(self, cfg: SessionConfig, attack: Optional[Attack] = None):
@@ -469,19 +598,20 @@ class RoundEngine:
                 f"a round has {LATENT_SLOTS} latent slots, the attack needs {len(self.tables)}"
             )
         self._latent_arrays = [Table.of(cases) for cases in self.tables]
-        self._latents: Dict[tuple, Tuple[OutcomeDistribution, Table]] = {}
+        self._latents: Dict[bool, Tuple[Latents, Dict[tuple, Table]]] = {}
         self._detectors: Dict[tuple, Table] = {}
 
-    def _latent(self, key: tuple) -> Tuple[OutcomeDistribution, Table]:
-        entry = self._latents.get(key)
+    def _built(self, recombine: bool) -> Tuple[Latents, Dict[tuple, Table]]:
+        entry = self._latents.get(recombine)
         if entry is None:
-            dist = latent_distribution(self.attack, *key)
-            entry = self._latents[key] = (dist, Table.of(dist.entries.items()))
+            latents = build_latents(self.attack, self.tables, recombine)
+            tables = {key: latents.table(i) for i, key in enumerate(latents.keys)}
+            entry = self._latents[recombine] = (latents, tables)
         return entry
 
-    def distribution(self, n: int, m: int, na: int, nb: int, bits: tuple, recombine: bool) -> OutcomeDistribution:
-        """`latent_distribution` of the engine's attack, memoized."""
-        return self._latent((n, m, na, nb, bits, recombine))[0]
+    def latents(self, recombine: bool) -> Latents:
+        """Every latent's outcome table for the flag, built once."""
+        return self._built(recombine)[0]
 
     def _detect(self, true_counts: np.ndarray, device: DeviceModel, u: np.ndarray) -> np.ndarray:
         holders, inverse = _groups(true_counts[:, 0], true_counts[:, 1])
@@ -494,11 +624,24 @@ class RoundEngine:
         return _draw_grouped(tables, inverse, u, 2)
 
     def rounds(self, start: int, stop: int) -> Rounds:
-        """Rounds [start, stop) of the session."""
+        """Rounds [start, stop) of the session, each pass of BLOCK_ROUNDS
+        written into columns allocated once."""
         if not 0 <= start <= stop:
             raise ValueError(f"need 0 <= start <= stop, got [{start}, {stop})")
-        parts = [self._block(lo, min(lo + BLOCK_ROUNDS, stop)) for lo in range(start, stop, BLOCK_ROUNDS)]
-        return Rounds.concat(parts) if parts else self._block(start, stop)
+        if stop - start <= BLOCK_ROUNDS:
+            return self._block(start, stop)
+        columns = None
+        for lo in range(start, stop, BLOCK_ROUNDS):
+            part = self._block(lo, min(lo + BLOCK_ROUNDS, stop))._columns(slice(None))
+            if columns is None:
+                columns = {
+                    name: None if col is None else np.empty((stop - start, *col.shape[1:]), col.dtype)
+                    for name, col in part.items()
+                }
+            for name, col in part.items():
+                if col is not None:
+                    columns[name][lo - start : lo - start + len(col)] = col
+        return Rounds(**columns)
 
     def _block(self, start: int, stop: int) -> Rounds:
         cfg, attack = self.cfg, self.attack
@@ -513,7 +656,7 @@ class RoundEngine:
         # *eve_ports), one draw from each distinct latent's distribution.
         holders, inverse = _groups(count_control, *latents.T)
         tables = [
-            self._latent((*row[:4], tuple(row[4:]), not control))[1]
+            self._built(not control)[1][(*row[:4], tuple(row[4:]))]
             for row, control in zip(latents[holders].tolist(), count_control[holders].tolist())
         ]
         counts = _draw_grouped(tables, inverse, u[:, SLOT_OUTCOME], 4 + len(attack.eve_ports))

@@ -24,6 +24,31 @@ from vopqkd.attacks import AttackStrategy
 from vopqkd.protocol import DeviceModel, SessionConfig, run_session
 
 
+def p_one_click_each(cfg):
+    """Exact probability that each side reports exactly one photon or click."""
+    dist = exact_readout_distribution(cfg)
+    return sum(p for (alice, bob), p in dist.items() if sum(alice) == 1 and sum(bob) == 1)
+
+
+class TestClosedFormsThroughTheOracle:
+    @pytest.mark.parametrize("detector", ["pnr", "threshold"])
+    @pytest.mark.parametrize("eta", [1.0, 0.8, 0.37])
+    def test_honest_coincidence_scales_as_eta_squared(self, detector, eta):
+        device = DeviceModel(detector_kind=detector, eta=eta)
+        cfg = SessionConfig(rounds=1, seed=0, device_alice=device, device_bob=device)
+        assert abs(p_one_click_each(cfg) - 0.5 * eta**2) < 1e-12
+
+    @pytest.mark.parametrize("phi", [0.3, 1.1, math.pi])
+    def test_phase_tampering_keeps_the_coincidence_rate(self, phi):
+        cfg = SessionConfig(rounds=1, seed=0, attack=AttackStrategy("phase", phi=phi))
+        assert abs(p_one_click_each(cfg) - 0.5) < 1e-12
+
+    @pytest.mark.parametrize("kind, rate", [("mitm", 0.25), ("devil", 0.25), ("short-circuit", 1.0)])
+    def test_attacks_move_the_coincidence_rate(self, kind, rate):
+        cfg = SessionConfig(rounds=1, seed=0, attack=AttackStrategy(kind))
+        assert abs(p_one_click_each(cfg) - rate) < 1e-12
+
+
 class TestEfficiency:
     def test_single_shot_value(self):
         rep = efficiency(2, 1, 1)
@@ -179,20 +204,24 @@ class TestOracle:
 
     @pytest.mark.parametrize("kind", ["mitm", "devil"])
     def test_oracle_builds_each_latent_distribution_once(self, monkeypatch, kind):
-        built = []
-        real = protocol.latent_distribution
+        batches = []
+        real = protocol.build_latents
 
-        def counting(attack, *key):
-            built.append(key)
-            return real(attack, *key)
+        def counting(attack, tables, recombine):
+            latents = real(attack, tables, recombine)
+            batches.append((recombine, latents.keys))
+            return latents
 
-        monkeypatch.setattr(protocol, "latent_distribution", counting)
+        monkeypatch.setattr(protocol, "build_latents", counting)
         cfg = SessionConfig(
             rounds=3000, seed=51, attack=AttackStrategy(kind=kind), control_count_fraction=0.2
         )
         oracle_check(cfg)
-        assert len(built) == len(set(built))
-        assert {key[-1] for key in built} == {True, False}  # recombined and count-control latents
+        flags = [flag for flag, _ in batches]
+        assert len(flags) == len(set(flags))  # one kernel batch per recombine flag
+        for _, keys in batches:
+            assert len(keys) == len(set(keys))  # each latent appears once
+        assert set(flags) == {True, False}  # recombined and count-control latents
 
     def test_csv_shape(self):
         cfg = SessionConfig(rounds=2000, seed=51)

@@ -8,6 +8,7 @@ import pytest
 
 from vopqkd import analysis, fock, protocol
 from vopqkd.attacks import (
+    AdaptiveInterceptAttack,
     AttackStrategy,
     InterceptResendAttack,
     NullAttack,
@@ -38,6 +39,21 @@ def exact_anomaly_rate(cfg: SessionConfig) -> float:
         p for (ra, rb), p in dist.items() if (sum(ra), sum(rb)) in HONEST_COINCIDENCE_SUPPORT
     )
     return 1.0 - honest
+
+
+class TestResendRule:
+    @pytest.mark.parametrize("eve_total", [2, 3])  # 3 occurs when Alice's source emits two photons
+    def test_two_or_more_counts_resend_one_photon_on_e4(self, eve_total):
+        [(content, weight)] = AdaptiveInterceptAttack().resend_cases(eve_total)
+        assert weight == 1.0
+        assert content.registry == ("e4",) and content.amplitudes == {(1,): 1.0}
+
+    def test_zero_counts_resend_vacuum_and_one_count_a_fresh_pair(self):
+        [(content, weight)] = AdaptiveInterceptAttack().resend_cases(0)
+        assert weight == 1.0 and content.amplitudes == {(0,): 1.0}
+        pairs = AdaptiveInterceptAttack().resend_cases(1)
+        assert [w for _, w in pairs] == [0.5, 0.5]
+        assert [state.registry for state, _ in pairs] == [("e3", "e4")] * 2
 
 
 class TestStrategyConfig:

@@ -2,13 +2,15 @@
 bytes on a small grid (every attack kind, ideal and lossy devices; the
 oracle CSV, and JSONL records with both control kinds on). A change that
 moves any output byte fails here; a deliberate change of the mapping
-updates the digests and says so in the README."""
+updates the digests and says so in the README. The same bytes come out
+when the engine's latent tables are built by the sparse reference instead
+of the batched kernel."""
 
 import hashlib
 
 import pytest
 
-from vopqkd import cli
+from vopqkd import cli, protocol
 from vopqkd.attacks import ATTACK_KINDS
 
 ATTACKS = {
@@ -53,9 +55,18 @@ def test_grid_covers_every_attack_kind():
     assert set(DIGESTS) == {(c, a, d) for c in COMMANDS for a in ATTACKS for d in DEVICES}
 
 
-@pytest.mark.parametrize("command, attack, device", list(DIGESTS))
-def test_output_bytes_are_pinned(capsys, command, attack, device):
+def output_digest(capsys, command, attack, device):
     argv = COMMANDS[command] + ["--rounds", "3000", "--seed", "5"] + ATTACKS[attack] + DEVICES[device]
     assert cli.main(argv) == 0
-    output = capsys.readouterr().out.encode()
-    assert hashlib.sha256(output).hexdigest() == DIGESTS[(command, attack, device)]
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command, attack, device", list(DIGESTS))
+def test_output_bytes_are_pinned(capsys, command, attack, device):
+    assert output_digest(capsys, command, attack, device) == DIGESTS[(command, attack, device)]
+
+
+@pytest.mark.parametrize("command, attack, device", list(DIGESTS))
+def test_sparse_reference_tables_give_the_same_bytes(monkeypatch, capsys, command, attack, device):
+    monkeypatch.setattr(protocol, "build_latents", protocol.reference_latents)
+    assert output_digest(capsys, command, attack, device) == DIGESTS[(command, attack, device)]

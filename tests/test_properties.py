@@ -9,6 +9,9 @@ import json
 import math
 import os
 import tempfile
+from unittest import mock
+
+import numpy as np
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -157,6 +160,31 @@ def test_eve_counts_do_not_depend_on_recombination(strategy, na, nb, data):
         marginals.append(eve)
     for key in set(marginals[0]) | set(marginals[1]):
         assert abs(marginals[0].get(key, 0.0) - marginals[1].get(key, 0.0)) < 1e-12
+
+
+@KERNEL
+@given(attacks, devices, devices, st.booleans(), st.data())
+def test_kernel_latent_matches_the_sparse_reference(strategy, alice, bob, recombine, data):
+    attack = build(strategy)
+    latents = protocol.build_latents(
+        attack, protocol.latent_tables(scenario(strategy, alice, bob), attack), recombine
+    )
+    i = data.draw(st.integers(0, len(latents.keys) - 1))
+    entries = slice(latents.bounds[i], latents.bounds[i + 1])
+    reference = protocol.latent_distribution(attack, *latents.keys[i], recombine).entries
+    assert [tuple(row) for row in latents.rows[latents.row[entries]].tolist()] == list(reference)
+    assert np.max(np.abs(latents.p[entries] - list(reference.values()))) < 1e-12
+
+
+@KERNEL
+@given(attacks, devices, devices)
+def test_kernel_oracle_matches_the_sparse_reference(strategy, alice, bob):
+    cfg = scenario(strategy, alice, bob)
+    kernel = analysis.exact_joint_distribution(cfg)
+    with mock.patch.object(protocol, "build_latents", protocol.reference_latents):
+        reference = analysis.exact_joint_distribution(cfg)
+    assert set(kernel) == set(reference)
+    assert max(abs(kernel[key] - reference[key]) for key in kernel) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,9 +223,8 @@ class TestControls:
     def test_count_control_flags_severed_channel(self):
         class ChannelCut(Attack):
             # both traveling rails dumped; the parties receive vacuum
-            def channel(self, state, bits):
-                state = fock.tensor(state, fock.vacuum(("v1", "v2")))
-                return [(state, 1.0)], "v1", "v2"
+            modes = ("v1", "v2")
+            rails = ("v1", "v2")
 
         cfg = honest_config(seed=2, control_count_fraction=1.0)
         flags = []
@@ -380,6 +380,27 @@ class TestShardExactness:
         whole = RoundEngine(cfg).rounds(0, 150)
         monkeypatch.setattr(protocol, "BLOCK_ROUNDS", 7)
         assert_same_rounds(RoundEngine(cfg).rounds(0, 150), whole)
+
+
+class TestMemory:
+    def test_session_peak_stays_near_its_columns(self):
+        # Each pass of BLOCK_ROUNDS is written into columns allocated once,
+        # so the passes and their concatenation never coexist.
+        engine = RoundEngine(SessionConfig(rounds=10**6, seed=3, attack=AttackStrategy("mitm")))
+        tracemalloc.start()
+        try:
+            rounds = engine.rounds(0, 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        columns = [getattr(rounds, name) for name in protocol.Rounds.__dataclass_fields__]
+        assert peak <= 1.2 * sum(c.nbytes for c in columns if c is not None)
+
+    def test_passes_fill_an_offset_block(self, monkeypatch):
+        cfg = shard_config("mitm")
+        whole = RoundEngine(cfg).rounds(0, 150)
+        monkeypatch.setattr(protocol, "BLOCK_ROUNDS", 7)
+        assert_same_rounds(RoundEngine(cfg).rounds(13, 101), whole[13:101])
 
 
 class TestUniformStream:
