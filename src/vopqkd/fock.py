@@ -343,9 +343,8 @@ def occupation_codes(rows: np.ndarray, base: int) -> np.ndarray:
 def occupation_space(nmodes: int, photons: int) -> np.ndarray:
     """Every occupation of `photons` photons on `nmodes` modes, one row each,
     in lexicographic order. A constant of its arguments, built on first use."""
-    rows = np.zeros((math.comb(nmodes + photons - 1, photons), nmodes), dtype=np.int64)
-    for row, combo in zip(rows, itertools.combinations_with_replacement(range(nmodes), photons)):
-        np.add.at(row, list(combo), 1)
+    combos = np.array(list(itertools.combinations_with_replacement(range(nmodes), photons)), dtype=np.int64)
+    rows = (combos[:, :, None] == np.arange(nmodes)).sum(axis=1)
     rows = rows[np.argsort(occupation_codes(rows, photons + 1))]
     rows.flags.writeable = False
     return rows

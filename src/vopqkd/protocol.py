@@ -441,17 +441,14 @@ def latent_keys(tables: Sequence[Cases]) -> List[tuple]:
     ]
 
 
-def _checked_latents(keys, latent, codes, p, base, nports, merge=True) -> Latents:
+def _checked_latents(keys, latent, codes, p, base, nports) -> Latents:
     """`Latents` from pieces (latent index, port-row code, probability) in
-    any order. With `merge`, pieces of one latent and row add up; without,
-    there must be none. Every latent's total must be 1 within NORM_TOL."""
+    any order. Pieces of one latent and row add up, and every latent's total
+    must be 1 within NORM_TOL."""
     order = np.lexsort((codes, latent))
     latent, codes, p = latent[order], codes[order], p[order]
-    if merge:
-        first = np.flatnonzero(
-            np.concatenate(([True], (latent[1:] != latent[:-1]) | (codes[1:] != codes[:-1])))
-        )
-        latent, codes, p = latent[first], codes[first], np.add.reduceat(p, first)
+    first = np.flatnonzero(np.concatenate(([True], (latent[1:] != latent[:-1]) | (codes[1:] != codes[:-1]))))
+    latent, codes, p = latent[first], codes[first], np.add.reduceat(p, first)
     totals = np.bincount(latent, p, minlength=len(keys))
     for i in np.flatnonzero(np.abs(totals - 1.0) > fock.NORM_TOL)[:1]:
         raise RuntimeError(f"mixture total {totals[i]} drifted past tolerance for latents {keys[i]}")
@@ -487,10 +484,8 @@ def build_latents(attack: Attack, tables: Sequence[Cases], recombine: bool) -> L
     ]
     # Every (network, latent), grouped by the network's gates and the photon
     # number: each group evolves in one call.
-    networks = attack.networks()
-    selective = any(net.eve_totals is not None for net in networks)
     groups: Dict[tuple, list] = {}
-    for net in networks:
+    for net in attack.networks():
         totals = range(0, 2**31) if net.eve_totals is None else net.eve_totals
         for i, inputs in enumerate(party_inputs):
             inputs = [position[port] for port in inputs + list(net.inputs)]
@@ -515,14 +510,12 @@ def build_latents(attack: Attack, tables: Sequence[Cases], recombine: bool) -> L
         if len(ports) < len(modes):  # add up each run over the unmeasured modes
             first = np.flatnonzero(np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1))))
             rows, prob = rows[first], np.add.reduceat(prob, first, axis=0)
-        prob *= weight
-        if selective:
-            eve_total = rows[:, 4:].sum(axis=1)[:, None]
-            prob *= (eve_total >= lo) & (eve_total < hi)
+        eve_total = rows[:, 4:].sum(axis=1)[:, None]
+        prob *= weight * ((eve_total >= lo) & (eve_total < hi))
         col, row = np.nonzero(prob.T > fock.PRUNE_EPS**2)
         pieces.append((latent[col], fock.occupation_codes(rows, base)[row], prob[row, col]))
     latent, codes, p = (np.concatenate(part) for part in zip(*pieces))
-    return _checked_latents(keys, latent, codes, p, base, len(ports), merge=len(networks) > 1)
+    return _checked_latents(keys, latent, codes, p, base, len(ports))
 
 
 def reference_latents(attack: Attack, tables: Sequence[Cases], recombine: bool) -> Latents:
