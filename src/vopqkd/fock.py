@@ -368,13 +368,18 @@ def _creation_map(nmodes: int, photons: int) -> Tuple[np.ndarray, np.ndarray, np
     return source, mode, starts
 
 
+def _sqrt_factorials(counts: np.ndarray) -> np.ndarray:
+    """sqrt(prod_j c_j!) for each row c of photon counts."""
+    factorials = np.array([math.factorial(c) for c in range(counts.max(initial=0) + 1)], dtype=float)
+    return np.sqrt(factorials[counts].prod(axis=1))
+
+
 @functools.lru_cache(maxsize=None)
 def _ladder_norms(nmodes: int, photons: int) -> np.ndarray:
-    """sqrt(prod_j t_j!) for each occupation t of the space: the product of
+    """`_sqrt_factorials` of each occupation t of the space: the product of
     the ladder factors sqrt(t_j) met on any path of creation operators from
     the vacuum to t."""
-    factorials = np.array([math.factorial(c) for c in range(photons + 1)], dtype=float)
-    return np.sqrt(factorials[occupation_space(nmodes, photons)].prod(axis=1))
+    return _sqrt_factorials(occupation_space(nmodes, photons))
 
 
 def evolve_latents(unitary: np.ndarray, inputs: np.ndarray) -> np.ndarray:
@@ -399,6 +404,4 @@ def evolve_latents(unitary: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     # The product of creation operators has norm sqrt(prod_j c_j!) for
     # c_j photons entering on mode j.
     entering = (inputs[:, :, None] == np.arange(len(unitary))).sum(axis=1)
-    factorials = np.array([math.factorial(c) for c in range(photons + 1)], dtype=float)
-    norms = np.sqrt(factorials[entering].prod(axis=1))
-    return amplitudes * (_ladder_norms(len(unitary), photons)[:, None] / norms)
+    return amplitudes * (_ladder_norms(len(unitary), photons)[:, None] / _sqrt_factorials(entering))

@@ -428,6 +428,7 @@ class Latents(NamedTuple):
     bounds: np.ndarray
 
     def table(self, i: int) -> Table:
+        """The draw table of latent `keys[i]`."""
         entries = slice(self.bounds[i], self.bounds[i + 1])
         return Table(self.rows[self.row[entries]], np.cumsum(self.p[entries]))
 
@@ -487,8 +488,8 @@ def build_latents(attack: Attack, tables: Sequence[Cases], recombine: bool) -> L
     groups: Dict[tuple, list] = {}
     for net in attack.networks():
         totals = range(0, 2**31) if net.eve_totals is None else net.eve_totals
-        for i, inputs in enumerate(party_inputs):
-            inputs = [position[port] for port in inputs + list(net.inputs)]
+        for i, party in enumerate(party_inputs):
+            inputs = [position[port] for port in party + list(net.inputs)]
             groups.setdefault((net.gates, len(inputs)), []).append(
                 (i, inputs, net.weight, totals.start, totals.stop)
             )
