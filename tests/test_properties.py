@@ -9,7 +9,6 @@ import json
 import math
 import os
 import tempfile
-from unittest import mock
 
 import numpy as np
 
@@ -174,17 +173,6 @@ def test_kernel_latent_matches_the_sparse_reference(strategy, alice, bob, recomb
     reference = protocol.latent_distribution(attack, *latents.keys[i], recombine).entries
     assert [tuple(row) for row in latents.rows[latents.row[entries]].tolist()] == list(reference)
     assert np.max(np.abs(latents.p[entries] - list(reference.values()))) < 1e-12
-
-
-@KERNEL
-@given(attacks, devices, devices)
-def test_kernel_oracle_matches_the_sparse_reference(strategy, alice, bob):
-    cfg = scenario(strategy, alice, bob)
-    kernel = analysis.exact_joint_distribution(cfg)
-    with mock.patch.object(protocol, "build_latents", protocol.reference_latents):
-        reference = analysis.exact_joint_distribution(cfg)
-    assert set(kernel) == set(reference)
-    assert max(abs(kernel[key] - reference[key]) for key in kernel) < 1e-12
 
 
 # ---------------------------------------------------------------------------
