@@ -27,10 +27,8 @@ from .fock import (
     vacuum,
 )
 from .protocol import (
-    ControlOutcome,
     DeviceModel,
     RoundEngine,
-    RoundRecord,
     Rounds,
     SessionConfig,
     infer_bit,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import attacks as attacks_mod
 from . import protocol
-from .protocol import ANNOUNCE, CONTROL_KINDS, COUNT, RoundEngine, RoundRecord, Rounds, SessionConfig
+from .protocol import ANNOUNCE, CONTROL_KINDS, COUNT, RoundEngine, Rounds, SessionConfig
 
 # Efficiency yardsticks: best BB84 accounting and the differential-phase-shift
 # scheme without active switches, as plain reported constants.
@@ -93,15 +93,16 @@ class SessionSummary:
         }
 
 
-def sifted_records(records: Sequence[RoundRecord]) -> List[RoundRecord]:
-    """Accepted, non-control rounds: the ones contributing key bits."""
-    return [r for r in records if r.accepted and r.control is None]
+def _sifted(rounds: Rounds) -> np.ndarray:
+    """Accepted, non-control rounds: the ones contributing key bits. Every
+    sifted round has an inference."""
+    return rounds.accepted & (rounds.control_kind == 0)
 
 
-def sifted_keys(records: Sequence[RoundRecord]) -> Tuple[List[int], List[int]]:
+def sifted_keys(rounds: Rounds) -> Tuple[List[int], List[int]]:
     """(Alice's key bits, Bob's reconstructed key bits)."""
-    sift = sifted_records(records)
-    return [r.n for r in sift], [r.inferred for r in sift]
+    sift = _sifted(rounds)
+    return rounds.n[sift].tolist(), rounds.inferred[sift].tolist()
 
 
 def summarize(rounds: Rounds) -> SessionSummary:
@@ -110,7 +111,7 @@ def summarize(rounds: Rounds) -> SessionSummary:
         raise ValueError("cannot summarize an empty block of rounds")
     total = len(rounds)
     accepted = int(rounds.accepted.sum())
-    sift = rounds.accepted & (rounds.control_kind == 0)  # every sifted round has an inference
+    sift = _sifted(rounds)
     sifted = int(sift.sum())
     errors = int((rounds.inferred[sift] != rounds.n[sift]).sum())
     qber = errors / sifted if sifted else 0.0
@@ -152,9 +153,9 @@ def detection_curve(flag_probability_per_control: float, nu_max: int) -> List[fl
     return [(1.0 - p) ** nu for nu in range(1, nu_max + 1)]
 
 
-def control_flags(records: Sequence[RoundRecord], kind: str) -> List[bool]:
+def control_flags(rounds: Rounds, kind: str) -> List[bool]:
     """Flag outcomes of the given control kind, in round order."""
-    return [r.control.flagged for r in records if r.control is not None and r.control.kind == kind]
+    return rounds.control_flagged[rounds.control_kind == CONTROL_KINDS.index(kind)].tolist()
 
 
 def empirical_survival(flags: Sequence[bool], nu: int) -> Tuple[float, int]:
@@ -167,43 +168,33 @@ def empirical_survival(flags: Sequence[bool], nu: int) -> Tuple[float, int]:
     blocks = len(flags) // nu
     if blocks == 0:
         raise ValueError(f"need at least {nu} control outcomes, got {len(flags)}")
-    clear = sum(
-        1 for b in range(blocks) if not any(flags[b * nu : (b + 1) * nu])
-    )
-    return clear / blocks, blocks
+    flagged = np.asarray(flags[: blocks * nu], dtype=bool).reshape(blocks, nu).any(axis=1)
+    return int(blocks - flagged.sum()) / blocks, blocks
 
 
-def control_qber_estimate(records: Sequence[RoundRecord]) -> Optional[float]:
+def control_qber_estimate(rounds: Rounds) -> Optional[float]:
     """The error rate the parties themselves can estimate: the flagged
     fraction of announce-bit control rounds (each flag is one revealed
     sifted-bit error). None when no such controls ran."""
-    flags = control_flags(records, ANNOUNCE)
+    flags = control_flags(rounds, ANNOUNCE)
     if not flags:
         return None
     return sum(flags) / len(flags)
 
 
-def announcement_bit_mutual_information(records: Sequence[RoundRecord]) -> float:
+def announcement_bit_mutual_information(rounds: Rounds) -> float:
     """Plug-in mutual information (bits) between Alice's announcement and n
     over accepted rounds; ~0 means the public statement leaks nothing."""
-    joint: Dict[Tuple[int, int], int] = {}
-    total = 0
-    for r in records:
-        if r.accepted and r.announcement is not None:
-            joint[(r.announcement, r.n)] = joint.get((r.announcement, r.n), 0) + 1
-            total += 1
+    accepted = rounds.accepted
+    total = int(accepted.sum())
     if total == 0:
         return 0.0
-    pa: Dict[int, float] = {}
-    pn: Dict[int, float] = {}
-    for (a, n), c in joint.items():
-        pa[a] = pa.get(a, 0.0) + c / total
-        pn[n] = pn.get(n, 0.0) + c / total
-    mi = 0.0
-    for (a, n), c in joint.items():
-        p = c / total
-        mi += p * math.log2(p / (pa[a] * pn[n]))
-    return mi
+    # joint[a - 1, (n + 1) // 2]: announcement a = 1|2, bit n = -1|+1
+    codes = 2 * rounds.announcement[accepted].astype(np.intp) + (rounds.n[accepted] > 0)
+    joint = np.bincount(codes, minlength=6)[2:].reshape(2, 2) / total
+    independent = np.outer(joint.sum(axis=1), joint.sum(axis=0))
+    seen = joint > 0
+    return float(np.sum(joint[seen] * np.log2(joint[seen] / independent[seen])))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ Subcommands:
     oracle  exact vs Monte-Carlo per-stage comparison as CSV
     report  human-readable table for a stored summary
 
-Exit codes: 0 ok, 1 usage error, 2 runtime/IO error, 3 abort because a
-control flagged an eavesdropper (with --abort-on-detection).
+Exit codes: 0 ok, 1 usage error, 2 runtime/IO error (including a round
+count too large to allocate), 3 abort because a control flagged an
+eavesdropper (with --abort-on-detection).
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
-from typing import Iterable, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Iterable, List, Optional, Tuple
 
 from . import analysis
 from . import protocol
@@ -36,41 +37,40 @@ class UsageError(Exception):
 FORMATS = ("json", "jsonl", "csv")
 
 _NUMBER = (int, float)
-# JSON types each config key accepts.
-_KEY_TYPES = {
-    "rounds": int,
-    "seed": (int, type(None)),
-    "attack": str,
-    "phi": _NUMBER,
-    "channels": tuple,
-    "p2": _NUMBER,
-    "detector": str,
-    "eta": _NUMBER,
-    "control_announce_fraction": _NUMBER,
-    "control_count_fraction": _NUMBER,
-    "abort_on_detection": bool,
-    "out": (str, type(None)),
-    "format": str,
-}
+
+
+def _key(default, accepts, **flag):
+    """A scenario key: its default, the JSON types a config file may give
+    it, and the argparse options of its flag."""
+    return field(default=default, metadata={"accepts": accepts, "flag": flag})
+
+
+def _comma_list(text: str) -> List[str]:
+    return [c for c in text.split(",") if c]
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Flat, file-serializable description of one CLI-reachable scenario."""
+    """Flat, file-serializable description of one CLI-reachable scenario.
 
-    rounds: int = 10000
-    seed: Optional[int] = None
-    attack: str = "none"
-    phi: float = 0.0
-    channels: Tuple[str, ...] = ("alice-to-bob",)
-    p2: float = 0.0
-    detector: str = "pnr"
-    eta: float = 1.0
-    control_announce_fraction: float = 0.0
-    control_count_fraction: float = 0.0
-    abort_on_detection: bool = False
-    out: Optional[str] = None
-    format: str = "json"
+    Each field is a config-file key and a flag of `run` and `oracle`: `--`
+    and the name, `_` written `-`. Adding a key means adding a field."""
+
+    rounds: int = _key(10000, int, type=int)
+    seed: Optional[int] = _key(None, (int, type(None)), type=int)
+    attack: str = _key("none", str, choices=ATTACK_KINDS)
+    phi: float = _key(0.0, _NUMBER, type=float, help="phase-attack shift in radians, 0..pi")
+    channels: Tuple[str, ...] = _key(
+        ("alice-to-bob",), tuple, type=_comma_list, help="comma-separated: alice-to-bob,bob-to-alice"
+    )
+    p2: float = _key(0.0, _NUMBER, type=float, help="two-photon emission probability")
+    detector: str = _key("pnr", str, choices=protocol.DETECTOR_KINDS)
+    eta: float = _key(1.0, _NUMBER, type=float, help="per-photon detection efficiency")
+    control_announce_fraction: float = _key(0.0, _NUMBER, type=float)
+    control_count_fraction: float = _key(0.0, _NUMBER, type=float)
+    abort_on_detection: bool = _key(False, bool, action="store_true")
+    out: Optional[str] = _key(None, (str, type(None)), help="output path (default: stdout)")
+    format: str = _key("json", str, choices=FORMATS)
 
     def to_flat_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -91,10 +91,10 @@ class ScenarioConfig:
         # A list of names becomes a tuple; anything else fails the type check.
         if isinstance(channels, (list, tuple)) and all(isinstance(c, str) for c in channels):
             merged["channels"] = tuple(channels)
-        for key, value in merged.items():
-            # bool is an int subclass: accept it for the one boolean key only
-            wrong_bool = isinstance(value, bool) != (key == "abort_on_detection")
-            if wrong_bool or not isinstance(value, _KEY_TYPES[key]):
+        for f in fields(cls):
+            key, value, accepts = f.name, merged[f.name], f.metadata["accepts"]
+            # bool is an int subclass: accept it for boolean keys only
+            if isinstance(value, bool) != (accepts is bool) or not isinstance(value, accepts):
                 raise UsageError(f"configuration key {key!r} has an invalid value {value!r}")
         if merged["format"] not in FORMATS:
             raise UsageError(f"configuration key 'format' must be one of {FORMATS}")
@@ -138,19 +138,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with flat scenario keys (flags override)")
-    p.add_argument("--rounds", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--attack", choices=ATTACK_KINDS)
-    p.add_argument("--phi", type=float, help="phase-attack shift in radians, 0..pi")
-    p.add_argument("--channels", help="comma-separated: alice-to-bob,bob-to-alice")
-    p.add_argument("--p2", type=float, help="two-photon emission probability")
-    p.add_argument("--detector", choices=protocol.DETECTOR_KINDS)
-    p.add_argument("--eta", type=float, help="per-photon detection efficiency")
-    p.add_argument("--control-announce-fraction", type=float)
-    p.add_argument("--control-count-fraction", type=float)
-    p.add_argument("--abort-on-detection", action="store_true", default=None)
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=FORMATS)
+    for f in fields(ScenarioConfig):
+        # default None: a flag left out keeps the config file's value
+        p.add_argument("--" + f.name.replace("_", "-"), default=None, **f.metadata["flag"])
 
 
 _PARSER: Optional[_Parser] = None
@@ -198,17 +188,9 @@ def parse_config(args: argparse.Namespace) -> ScenarioConfig:
     preset = getattr(args, "scenario", None)
     if preset:
         cfg = ScenarioConfig.from_flat_dict(SCENARIO_PRESETS[preset], base=cfg)
-    overrides = {}
-    for name in (
-        "rounds", "seed", "attack", "phi", "p2", "detector", "eta",
-        "control_announce_fraction", "control_count_fraction",
-        "abort_on_detection", "out", "format",
-    ):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "channels", None) is not None:
-        overrides["channels"] = [c for c in args.channels.split(",") if c]
+    overrides = {
+        f.name: getattr(args, f.name) for f in fields(ScenarioConfig) if getattr(args, f.name, None) is not None
+    }
     try:
         cfg = ScenarioConfig.from_flat_dict(overrides, base=cfg)
         cfg.session_config()  # full validation before any round executes
@@ -309,6 +291,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except OSError as exc:
         sys.stderr.write(f"io error: {exc}\n")
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        sys.stderr.write(f"error: out of memory: {exc}\n")
         return EXIT_RUNTIME
 
 

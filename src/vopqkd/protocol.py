@@ -67,7 +67,7 @@ SEED_LIMIT = 2**64  # Philox keys are 128-bit; the CLI seed is one 64-bit word
 # pass's uniforms take 384 KiB); passes of 2**16 rounds were no faster end to
 # end on sessions of 7,000-11,000 rounds and left about 0.3 MB more resident.
 BLOCK_ROUNDS = 1 << 12
-# Rounds turned into Python objects or text at a time.
+# Rounds rendered as text at a time.
 CHUNK_ROUNDS = 4096
 
 
@@ -114,55 +114,8 @@ class DeviceModel:
             raise ValueError(f"detector_kind must be one of {DETECTOR_KINDS}")
 
 
-@dataclass(frozen=True)
-class ControlOutcome:
-    kind: str  # ANNOUNCE | COUNT
-    flagged: bool
-
-
-@dataclass
-class RoundRecord:
-    """Everything that happened in one protocol round."""
-
-    round_index: int
-    n: int
-    m: int
-    alice_counts: Tuple[int, int]
-    bob_counts: Tuple[int, int]
-    accepted: bool
-    announcement: Optional[int]  # detector index 1|2, present only when accepted
-    inferred: Optional[int]
-    control: Optional[ControlOutcome]
-    photon_anomaly: bool
-    # Simulator-side bookkeeping, not serialized: the adversary's own counts
-    # (aligned with the attack's eve_ports) and her inference of n.
-    eve_counts: Optional[Tuple[int, ...]] = None
-    eve_learned: Optional[int] = None
-
-    @property
-    def eve_knows_n(self) -> bool:
-        return self.eve_learned is not None
-
-    def to_json_dict(self) -> dict:
-        """Wire form, one JSON object per round."""
-        return {
-            "round": self.round_index,
-            "n": self.n,
-            "m": self.m,
-            "alice_counts": list(self.alice_counts),
-            "bob_counts": list(self.bob_counts),
-            "accepted": self.accepted,
-            "announcement": {1: "Da1", 2: "Da2"}.get(self.announcement),
-            "inferred": self.inferred,
-            "control_kind": self.control.kind if self.control else None,
-            "control_flagged": self.control.flagged if self.control else None,
-            "eve_knows_n": self.eve_knows_n,
-            "photon_anomaly": self.photon_anomaly,
-        }
-
-
-# `RoundRecord.to_json_dict` rendered straight from column values; the
-# lookups map column codes to their JSON text.
+# One round's wire form, a JSON object rendered straight from column
+# values; the lookups map column codes to their JSON text.
 _JSONL_LINE = (
     '{{"round": {}, "n": {}, "m": {}, "alice_counts": [{}, {}], "bob_counts": [{}, {}], '
     '"accepted": {}, "announcement": {}, "inferred": {}, "control_kind": {}, '
@@ -182,8 +135,7 @@ class Rounds:
     Optional values are coded 0 for None: `announcement` (detector index),
     `inferred` and `eve_learned` (bits +-1), and `control_kind` (an index
     into CONTROL_KINDS). `eve_counts` is None for attacks without detectors.
-    Length, iteration and indexing yield `RoundRecord` views; a slice yields
-    a `Rounds`.
+    A slice yields a `Rounds`.
     """
 
     index: np.ndarray
@@ -209,35 +161,10 @@ class Rounds:
             for f in fields(self)
         }
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return Rounds(**self._columns(key))
-        i = range(len(self))[key]
-        return next(self._records(slice(i, i + 1)))
-
-    def __iter__(self) -> Iterator[RoundRecord]:
-        for lo in range(0, len(self), CHUNK_ROUNDS):
-            yield from self._records(slice(lo, lo + CHUNK_ROUNDS))
-
-    def _records(self, rows: slice) -> Iterator[RoundRecord]:
-        columns = [
-            itertools.repeat(None) if c is None else c.tolist() for c in self._columns(rows).values()
-        ]
-        for i, n, m, a, b, acc, ann, inf, kind, flag, anomaly, ev, learned in zip(*columns):
-            yield RoundRecord(
-                round_index=i,
-                n=n,
-                m=m,
-                alice_counts=tuple(a),
-                bob_counts=tuple(b),
-                accepted=acc,
-                announcement=ann or None,
-                inferred=inf or None,
-                control=ControlOutcome(CONTROL_KINDS[kind], flag) if kind else None,
-                photon_anomaly=anomaly,
-                eve_counts=None if ev is None else tuple(ev),
-                eve_learned=learned or None,
-            )
+    def __getitem__(self, rows: slice) -> "Rounds":
+        if not isinstance(rows, slice):
+            raise TypeError(f"Rounds takes a slice of rows, not {type(rows).__name__}")
+        return Rounds(**self._columns(rows))
 
     def jsonl_chunks(self) -> Iterator[str]:
         """The records' wire form, one JSON line per round, in chunks of

@@ -1,5 +1,6 @@
 """Tests for summaries, efficiency accounting, detection curves, oracles."""
 
+import collections
 import math
 
 import numpy as np
@@ -8,8 +9,10 @@ import pytest
 from vopqkd import analysis, protocol
 from vopqkd.analysis import (
     ANNOUNCE,
+    COUNT,
     EfficiencyReport,
     announcement_bit_mutual_information,
+    control_flags,
     control_qber_estimate,
     detection_curve,
     efficiency,
@@ -22,6 +25,31 @@ from vopqkd.analysis import (
 )
 from vopqkd.attacks import AttackStrategy
 from vopqkd.protocol import DeviceModel, SessionConfig, run_session
+
+
+BOOL_COLUMNS = {"accepted", "control_flagged", "photon_anomaly"}
+
+
+def hand_rounds(**columns):
+    """A block of rounds built by hand: the given per-round columns, every
+    other column zero (0 codes None) and no adversary counts."""
+    size = len(columns["n"])
+    block = {
+        name: np.zeros(size, dtype=bool if name in BOOL_COLUMNS else np.int8)
+        for name in protocol.Rounds.__dataclass_fields__
+    }
+    block.update(
+        index=np.arange(size, dtype=np.int64),
+        alice_counts=np.zeros((size, 2), dtype=np.int8),
+        bob_counts=np.zeros((size, 2), dtype=np.int8),
+        eve_counts=None,
+    )
+    block.update({name: np.asarray(values, dtype=block[name].dtype) for name, values in columns.items()})
+    return protocol.Rounds(**block)
+
+
+def kind_codes(kinds):
+    return [protocol.CONTROL_KINDS.index(k) for k in kinds]
 
 
 def p_one_click_each(cfg):
@@ -98,6 +126,21 @@ class TestSurvival:
         with pytest.raises(ValueError):
             empirical_survival([False], 2)
 
+    def test_blocks_of_a_control_column(self):
+        # announce flags F F T F F F T T, between rounds of no control and
+        # count controls that the fold skips
+        kinds = [ANNOUNCE, None, ANNOUNCE, ANNOUNCE, COUNT, ANNOUNCE, ANNOUNCE, ANNOUNCE, None, ANNOUNCE, ANNOUNCE]
+        flagged = [False, True, False, True, True, False, False, False, False, True, True]
+        rounds = hand_rounds(n=[1] * len(kinds), control_kind=kind_codes(kinds), control_flagged=flagged)
+        flags = control_flags(rounds, ANNOUNCE)
+        assert flags == [False, False, True, False, False, False, True, True]
+        assert control_flags(rounds, COUNT) == [True]
+        assert empirical_survival(flags, 2) == (0.5, 4)
+        assert empirical_survival(np.array(flags), 3) == (0.5, 2)
+        assert empirical_survival(flags, 8) == (0.0, 1)
+        with pytest.raises(ValueError):
+            empirical_survival(flags, 9)
+
 
 class TestSummarize:
     def test_empty_rejected(self):
@@ -148,17 +191,66 @@ class TestSummarize:
         assert abs(estimate - 0.5) < 0.03
         assert abs(estimate - summary.qber) < 0.04
 
-    def test_mutual_information_on_synthetic_records(self):
-        class R:
-            def __init__(self, a, n):
-                self.accepted = True
-                self.announcement = a
-                self.n = n
+    def test_mutual_information_on_hand_built_rounds(self):
+        pairs = [(a, n) for a in (1, 2) for n in (-1, 1) for _ in range(25)]
+        # rejected rounds carry no announcement and do not count
+        rejected = [(0, 1)] * 40
+        announcement, n = zip(*pairs + rejected)
+        independent = hand_rounds(n=n, announcement=announcement, accepted=[a > 0 for a in announcement])
+        assert abs(announcement_bit_mutual_information(independent)) < 1e-12
+        announcement, n = zip(*[(1, 1)] * 50 + [(2, -1)] * 50 + rejected)
+        correlated = hand_rounds(n=n, announcement=announcement, accepted=[a > 0 for a in announcement])
+        assert abs(announcement_bit_mutual_information(correlated) - 1.0) < 1e-12
+        assert announcement_bit_mutual_information(hand_rounds(n=[1, -1])) == 0.0
 
-        independent = [R(a, n) for a in (1, 2) for n in (-1, 1) for _ in range(25)]
-        assert announcement_bit_mutual_information(independent) < 1e-12
-        correlated = [R(1, 1)] * 50 + [R(2, -1)] * 50
-        assert announcement_bit_mutual_information(correlated) > 0.99
+    def test_column_folds_match_row_loops(self):
+        rounds, _ = run_session(
+            SessionConfig(
+                rounds=3000, seed=5, attack=AttackStrategy(kind="mitm"),
+                control_announce_fraction=0.2, control_count_fraction=0.3,
+            )
+        )
+        rows = list(zip(*(c.tolist() for c in (
+            rounds.accepted, rounds.announcement, rounds.n, rounds.inferred,
+            rounds.control_kind, rounds.control_flagged,
+        ))))
+        sift = [(n, inferred) for accepted, _, n, inferred, kind, _ in rows if accepted and not kind]
+        assert sifted_keys(rounds) == ([n for n, _ in sift], [i for _, i in sift])
+        announce = protocol.CONTROL_KINDS.index(ANNOUNCE)
+        flags = [flagged for *_, kind, flagged in rows if kind == announce]
+        assert control_flags(rounds, ANNOUNCE) == flags
+        for nu in range(1, 9):
+            blocks = len(flags) // nu
+            clear = sum(1 for b in range(blocks) if not any(flags[b * nu : (b + 1) * nu]))
+            assert empirical_survival(flags, nu) == (clear / blocks, blocks)
+        joint = collections.Counter((a, n) for accepted, a, n, *_ in rows if accepted)
+        total = sum(joint.values())
+        pa = collections.Counter()
+        pn = collections.Counter()
+        for (a, n), c in joint.items():
+            pa[a] += c / total
+            pn[n] += c / total
+        mi = sum(c / total * math.log2(c / total / (pa[a] * pn[n])) for (a, n), c in joint.items())
+        assert mi > 0.001  # away from 0, so the comparison is not of two zeros
+        assert abs(announcement_bit_mutual_information(rounds) - mi) < 1e-12
+
+    def test_control_qber_estimate_on_hand_built_rounds(self):
+        counted = hand_rounds(n=[1, 1], control_kind=kind_codes([COUNT, COUNT]), control_flagged=[True, False])
+        assert control_qber_estimate(counted) is None
+        kinds = [ANNOUNCE, None, ANNOUNCE, ANNOUNCE, COUNT, ANNOUNCE]
+        flagged = [True, False, False, False, True, False]
+        rounds = hand_rounds(n=[1] * 6, control_kind=kind_codes(kinds), control_flagged=flagged)
+        assert control_qber_estimate(rounds) == 0.25
+
+    def test_sifted_keys_skip_control_and_rejected_rounds(self):
+        kinds = [None, ANNOUNCE, None, COUNT, None, None]
+        rounds = hand_rounds(
+            n=[1, -1, -1, 1, 1, -1],
+            inferred=[1, -1, 1, 0, 0, -1],
+            accepted=[True, True, True, False, False, True],
+            control_kind=kind_codes(kinds),
+        )
+        assert sifted_keys(rounds) == ([1, -1, -1], [1, 1, -1])
 
 
 class TestOracle:

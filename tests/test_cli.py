@@ -2,11 +2,13 @@
 
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
 from vopqkd import cli, protocol
 from vopqkd.cli import ScenarioConfig, UsageError, main, parse_config
+from wire_form import wire_text
 
 
 def parse(argv):
@@ -156,7 +158,7 @@ class TestExecution:
     def test_jsonl_streams_the_record_wire_form(self, tmp_path, capsys, rounds, flags):
         argv = ["run", "--rounds", str(rounds), "--seed", "4", "--format", "jsonl", *flags]
         records, _ = protocol.run_session(parse(argv).session_config())
-        expected = "".join(json.dumps(r.to_json_dict()) + "\n" for r in records)
+        expected = wire_text(records)
         out = tmp_path / "records.jsonl"
         assert main(argv + ["--out", str(out)]) == 0
         assert out.read_text() == expected
@@ -242,6 +244,69 @@ def test_oracle_writes_csv_without_a_format(tmp_path, capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[0].startswith("stage,outcome,exact_p,empirical_p,abs_error\n")
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_impossible_round_count_is_a_runtime_error(capsys, command):
+    # the columns of 10**18 rounds cannot be allocated; nothing is touched
+    assert main([command, "--rounds", str(10**18), "--seed", "1"]) == cli.EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+# For each scenario key: a config-file value other than its default, the
+# flag's arguments, and the value the flag gives. Files also set seed 1 and
+# the phase attack, so that every key's value is valid.
+SCHEMA_VALUES = {
+    "rounds": (500, ["900"], 900),
+    "seed": (3, ["4"], 4),
+    "attack": ("mitm", ["devil"], "devil"),
+    "phi": (0.5, ["1.5"], 1.5),
+    "channels": (["bob-to-alice"], ["alice-to-bob,bob-to-alice"], ("alice-to-bob", "bob-to-alice")),
+    "p2": (0.1, ["0.2"], 0.2),
+    "detector": ("threshold", ["pnr"], "pnr"),
+    "eta": (0.5, ["0.8"], 0.8),
+    "control_announce_fraction": (0.1, ["0.3"], 0.3),
+    "control_count_fraction": (0.1, ["0.3"], 0.3),
+    "abort_on_detection": (False, [], True),  # a store_true flag only sets True
+    "out": ("a.json", ["b.json"], "b.json"),
+    "format": ("jsonl", ["json"], "json"),
+}
+SCENARIO_KEYS = [f.name for f in fields(ScenarioConfig)]
+
+
+def flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def config_with(tmp_path, key, value):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"seed": 1, "attack": "phase", key: value}))
+    return str(path)
+
+
+class TestScenarioSchema:
+    def test_every_key_has_test_values(self):
+        assert sorted(SCHEMA_VALUES) == sorted(SCENARIO_KEYS)
+
+    @pytest.mark.parametrize("command", ["run", "oracle"])
+    @pytest.mark.parametrize("key", SCENARIO_KEYS)
+    def test_key_is_a_flag(self, command, key):
+        args = cli.build_parser().parse_args([command, flag(key), *SCHEMA_VALUES[key][1]])
+        assert [k for k in SCENARIO_KEYS if getattr(args, k) is not None] == [key]
+
+    @pytest.mark.parametrize("key", SCENARIO_KEYS)
+    def test_key_is_a_config_file_key(self, tmp_path, key):
+        value = SCHEMA_VALUES[key][0]
+        cfg = parse(["run", "--config", config_with(tmp_path, key, value)])
+        assert getattr(cfg, key) == (tuple(value) if key == "channels" else value)
+
+    @pytest.mark.parametrize("key", SCENARIO_KEYS)
+    def test_flag_overrides_config_file(self, tmp_path, key):
+        value, flag_args, flag_value = SCHEMA_VALUES[key]
+        cfg = parse(["run", "--config", config_with(tmp_path, key, value), flag(key), *flag_args])
+        assert getattr(cfg, key) == flag_value
 
 
 class TestSharedParser:

@@ -10,6 +10,7 @@ import pytest
 from vopqkd import analysis, fock, protocol
 from vopqkd.attacks import ATTACK_KINDS, Attack, AttackStrategy, NullAttack
 from vopqkd.protocol import (
+    CONTROL_KINDS,
     DeviceModel,
     RoundEngine,
     SessionConfig,
@@ -21,6 +22,7 @@ from vopqkd.protocol import (
     run_session,
     run_session_sharded,
 )
+from wire_form import record_dicts
 
 R2 = math.sqrt(2.0)
 IDEAL = DeviceModel()
@@ -155,37 +157,34 @@ class TestDevices:
 class TestRound:
     def test_acceptance_iff_one_photon_each(self):
         cfg = honest_config()
-        for rec in RoundEngine(cfg, NullAttack()).rounds(0, 500):
-            assert rec.accepted == (sum(rec.alice_counts) == 1 and sum(rec.bob_counts) == 1)
-            assert (rec.announcement is not None) == rec.accepted
-            assert (rec.inferred is not None) == rec.accepted
+        r = RoundEngine(cfg, NullAttack()).rounds(0, 500)
+        one_each = (r.alice_counts.sum(axis=1) == 1) & (r.bob_counts.sum(axis=1) == 1)
+        assert np.array_equal(r.accepted, one_each)
+        assert np.array_equal(r.announcement != 0, r.accepted)
+        assert np.array_equal(r.inferred != 0, r.accepted)
 
     def test_honest_inference_is_deterministic(self):
         cfg = honest_config()
-        accepted = 0
-        for rec in RoundEngine(cfg, NullAttack()).rounds(0, 2000):
-            if rec.accepted:
-                accepted += 1
-                assert rec.inferred == rec.n
-                assert not rec.photon_anomaly
-        assert accepted > 0
+        r = RoundEngine(cfg, NullAttack()).rounds(0, 2000)
+        accepted = r.accepted
+        assert np.array_equal(r.inferred[accepted], r.n[accepted])
+        assert not r.photon_anomaly[accepted].any()
+        assert accepted.sum() > 0
 
     def test_honest_clicks_never_cross_for_equal_bits(self):
         # conditioned on acceptance, (D_a1,D_b1) or (D_a2,D_b2) for m = n
         cfg = honest_config()
-        seen = set()
-        for rec in RoundEngine(cfg, NullAttack()).rounds(0, 4000):
-            if rec.accepted and rec.n == rec.m:
-                alice = rec.announcement
-                bob = 1 if rec.bob_counts[0] == 1 else 2
-                seen.add((alice, bob))
-        assert seen == {(1, 1), (2, 2)}
+        r = RoundEngine(cfg, NullAttack()).rounds(0, 4000)
+        rows = r.accepted & (r.n == r.m)
+        alice = r.announcement[rows]
+        bob = np.where(r.bob_counts[rows, 0] == 1, 1, 2)
+        assert set(zip(alice.tolist(), bob.tolist())) == {(1, 1), (2, 2)}
 
     def test_hook_identity_matches_base(self):
         cfg = honest_config()
         a = RoundEngine(cfg, NullAttack()).rounds(0, 300)
         b = RoundEngine(cfg, Attack()).rounds(0, 300)
-        assert [r.to_json_dict() for r in a] == [r.to_json_dict() for r in b]
+        assert record_dicts(a) == record_dicts(b)
 
 
 class TestControls:
@@ -202,23 +201,22 @@ class TestControls:
             rounds=2000, attack=AttackStrategy("phase", math.pi / 2), control_announce_fraction=1.0
         )
         records, _ = run_session(cfg)
-        controls = [r for r in records if r.control is not None]
-        assert all(r.accepted and r.control.flagged == (r.inferred != r.n) for r in controls)
-        assert {r.control.flagged for r in controls} == {False, True}
+        controls = records.control_kind != 0
+        assert records.accepted[controls].all()
+        assert np.array_equal(records.control_flagged[controls], (records.inferred != records.n)[controls])
+        assert set(records.control_flagged[controls].tolist()) == {False, True}
 
     def test_count_control_honest_statistics(self):
         cfg = honest_config(rounds=20000, control_count_fraction=1.0)
         records, summary = run_session(cfg)
-        totals = {}
-        for r in records:
-            assert r.control is not None and r.control.kind == "photon-count-check"
-            assert not r.control.flagged  # exact one-photon correlation holds
-            t = sum(r.bob_counts)  # (stored, incoming) at Bob's side
-            totals[t] = totals.get(t, 0) + 1
+        assert (records.control_kind == CONTROL_KINDS.index("photon-count-check")).all()
+        assert not records.control_flagged.any()  # exact one-photon correlation holds
+        # (stored, incoming) totals at Bob's side
+        totals = np.bincount(records.bob_counts.sum(axis=1), minlength=3)
         n = len(records)
-        assert abs(totals.get(0, 0) / n - 0.25) < 0.02
-        assert abs(totals.get(1, 0) / n - 0.50) < 0.02
-        assert abs(totals.get(2, 0) / n - 0.25) < 0.02
+        assert abs(totals[0] / n - 0.25) < 0.02
+        assert abs(totals[1] / n - 0.50) < 0.02
+        assert abs(totals[2] / n - 0.25) < 0.02
 
     def test_count_control_flags_severed_channel(self):
         class ChannelCut(Attack):
@@ -227,21 +225,20 @@ class TestControls:
             rails = ("v1", "v2")
 
         cfg = honest_config(seed=2, control_count_fraction=1.0)
-        flags = []
-        for rec in RoundEngine(cfg, ChannelCut()).rounds(0, 400):
-            # nothing arrives on the cut channel: (stored, incoming) totals 0 or 1
-            assert rec.bob_counts[1] == 0 and sum(rec.bob_counts) in (0, 1)
-            flags.append(rec.control.flagged)
-        rate = sum(flags) / len(flags)
+        rec = RoundEngine(cfg, ChannelCut()).rounds(0, 400)
+        # nothing arrives on the cut channel: (stored, incoming) totals 0 or 1
+        assert (rec.bob_counts[:, 1] == 0).all() and np.isin(rec.bob_counts.sum(axis=1), (0, 1)).all()
+        assert (rec.control_kind == CONTROL_KINDS.index("photon-count-check")).all()
+        rate = int(rec.control_flagged.sum()) / len(rec)
         assert rate > 0.5  # both one-photon correlations break independently
 
     def test_count_control_round_record_shape(self):
         cfg = honest_config(seed=1, control_count_fraction=1.0)
-        rec = RoundEngine(cfg, NullAttack()).rounds(0, 1)[0]
-        assert not rec.accepted
-        assert rec.announcement is None and rec.inferred is None
-        assert rec.control.kind == "photon-count-check"
-        assert rec.photon_anomaly is False
+        rec = RoundEngine(cfg, NullAttack()).rounds(0, 1)
+        assert rec.accepted.tolist() == [False]
+        assert rec.announcement.tolist() == [0] and rec.inferred.tolist() == [0]  # 0 codes None
+        assert [CONTROL_KINDS[k] for k in rec.control_kind.tolist()] == ["photon-count-check"]
+        assert rec.photon_anomaly.tolist() == [False]
 
 
 class TestStatistics:
@@ -268,7 +265,8 @@ class TestStatistics:
         cfg = honest_config(rounds=5000, device_alice=DeviceModel(p2=1.0))
         records, summary = run_session(cfg)
         assert summary.accepted == 0
-        assert all(r.photon_anomaly for r in records if sum(r.alice_counts) + sum(r.bob_counts) != 2)
+        totals = records.alice_counts.sum(axis=1) + records.bob_counts.sum(axis=1)
+        assert records.photon_anomaly[totals != 2].all()
 
     def test_threshold_detectors_keep_honest_rate(self):
         device = DeviceModel(detector_kind="threshold")
@@ -289,7 +287,7 @@ class TestSession:
     def test_single_accepted_round_efficiency_tally(self):
         for seed in range(20):
             records, summary = run_session(SessionConfig(rounds=1, seed=seed))
-            if records[0].accepted:
+            if records.accepted[0]:
                 eff = summary.efficiency
                 assert (eff.q_t, eff.b_t, eff.b_s) == (2, 1, 1)
                 assert abs(eff.value - 1 / 3) < 1e-12
@@ -298,8 +296,7 @@ class TestSession:
 
     def test_record_wire_format(self):
         records, _ = run_session(honest_config(rounds=50, control_announce_fraction=0.3))
-        for rec in records:
-            d = rec.to_json_dict()
+        for d in record_dicts(records):
             assert list(d) == [
                 "round", "n", "m", "alice_counts", "bob_counts", "accepted",
                 "announcement", "inferred", "control_kind", "control_flagged",
@@ -314,7 +311,7 @@ class TestSession:
     def test_fixed_seed_reproducible(self):
         a, sa = run_session(honest_config(rounds=2000, seed=99))
         b, sb = run_session(honest_config(rounds=2000, seed=99))
-        assert [r.to_json_dict() for r in a] == [r.to_json_dict() for r in b]
+        assert record_dicts(a) == record_dicts(b)
         assert sa.to_json_dict() == sb.to_json_dict()
 
     def test_sharded_equals_single(self):
@@ -322,7 +319,7 @@ class TestSession:
         single, ssum = run_session(cfg)
         for shards in (2, 3, 7):
             sharded, shsum = run_session_sharded(cfg, shards)
-            assert [r.to_json_dict() for r in sharded] == [r.to_json_dict() for r in single]
+            assert record_dicts(sharded) == record_dicts(single)
             assert shsum.to_json_dict() == ssum.to_json_dict()
 
     def test_config_validation(self):
@@ -360,7 +357,7 @@ class TestShardExactness:
     def test_any_shard_count_gives_identical_output(self, kind):
         cfg = shard_config(kind)
         single, summary = run_session(cfg)
-        assert {r.control.kind for r in single if r.control} == {analysis.ANNOUNCE, analysis.COUNT}
+        assert {CONTROL_KINDS[k] for k in single.control_kind.tolist() if k} == {analysis.ANNOUNCE, analysis.COUNT}
         for shards in (1, 2, 3, 7, cfg.rounds):  # the last: one round per shard
             sharded, sharded_summary = run_session_sharded(cfg, shards)
             assert jsonl(sharded) == jsonl(single)
@@ -373,7 +370,15 @@ class TestShardExactness:
         whole = engine.rounds(0, 150)
         for a, b in ((0, 150), (0, 1), (37, 38), (40, 40), (13, 101), (149, 150)):
             assert_same_rounds(engine.rounds(a, b), whole[a:b])
-        assert [r.round_index for r in engine.rounds(13, 101)] == list(range(13, 101))
+        assert engine.rounds(13, 101).index.tolist() == list(range(13, 101))
+
+    def test_slices_only(self):
+        whole = RoundEngine(shard_config("mitm")).rounds(0, 20)
+        assert len(whole[5:9]) == 4
+        with pytest.raises(TypeError):
+            whole[0]
+        with pytest.raises(TypeError):
+            list(whole)
 
     def test_numpy_pass_size_does_not_change_rounds(self, monkeypatch):
         cfg = shard_config("devil")
