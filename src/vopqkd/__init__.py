@@ -14,25 +14,12 @@ from .analysis import (
     summarize,
 )
 from .attacks import Attack, AttackStrategy, build
-from .fock import (
-    FockState,
-    OutcomeDistribution,
-    apply_beam_splitter,
-    apply_phase_shift,
-    make_single_photon,
-    one_photon_pair,
-    outcome_distribution,
-    project_onto,
-    tensor,
-    vacuum,
-)
 from .protocol import (
     DeviceModel,
     RoundEngine,
     Rounds,
     SessionConfig,
     infer_bit,
-    latent_distribution,
     run_session,
     run_session_sharded,
 )

@@ -12,24 +12,22 @@ A strategy is an optical network, declared as data: its own `modes`, its
 and the input port each of its bits selects (`bit_ports`). `networks()`
 lists the networks a round runs; an adversary who measures mid-round and
 adapts her resend runs one network per resend case. The engine and the
-exact oracle evolve these networks with `fock.evolve_latents`.
-`channel` is the same strategy on the sparse `FockState` algebra, kept as
-the reference the networks are tested against.
+exact oracle evolve these networks with `fock.evolve_latents`; the networks
+are each strategy's only definition.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from . import fock
-from .fock import BeamSplitter, FockState, PhaseShift
+from .fock import BeamSplitter, PhaseShift
 
 # A case table [(value, probability)] defines one random step; the sampler
 # draws from it and the exact oracle sums over it.
 Cases = Tuple[Tuple[object, float], ...]
-Ensemble = List[Tuple[FockState, float]]  # weighted pure states
 
 # Fair ±1 bit (logic 1 <-> +1, logic 0 <-> -1).
 BIT_CASES: Cases = ((1, 0.5), (-1, 0.5))
@@ -94,10 +92,6 @@ class Attack:
         """The networks a round runs; their entries add up."""
         return (Network(self.gates),)
 
-    def channel(self, state: FockState, bits: tuple) -> Tuple[Ensemble, str, str]:
-        """Act on the channel. Returns (weighted pure states, rail_to_alice, rail_to_bob)."""
-        return [(state, 1.0)], RAIL_TO_ALICE, RAIL_TO_BOB
-
     def learn(
         self, bits: tuple, eve_counts: Optional[Tuple[int, ...]], alice_result: Optional[int]
     ) -> Optional[int]:
@@ -116,17 +110,8 @@ class PhaseTamperAttack(Attack):
     kind = "phase"
 
     def __init__(self, phi: float, channels: Tuple[str, ...]):
-        self.phi = phi
-        self.channels = channels
         rails = {"alice-to-bob": RAIL_TO_BOB, "bob-to-alice": RAIL_TO_ALICE}
         self.gates = tuple(PhaseShift(rails[ch], phi) for ch in CHANNEL_NAMES if ch in channels)
-
-    def channel(self, state, bits):
-        if "alice-to-bob" in self.channels:
-            state = fock.apply_phase_shift(state, RAIL_TO_BOB, self.phi)
-        if "bob-to-alice" in self.channels:
-            state = fock.apply_phase_shift(state, RAIL_TO_ALICE, self.phi)
-        return [(state, 1.0)], RAIL_TO_ALICE, RAIL_TO_BOB
 
 
 class InterceptResendAttack(Attack):
@@ -153,18 +138,6 @@ class InterceptResendAttack(Attack):
     rails = ("e2", "e4")
     bit_ports = (("e1", "e2"), ("e3", "e4"))
 
-    def channel(self, state, bits):
-        p, q = bits
-        state = fock.tensor(
-            state,
-            fock.one_photon_pair(("e1", "e2"), p),
-            fock.one_photon_pair(("e3", "e4"), q),
-        )
-        # Her recombiners: kept mode on the in1 port, intercepted rail on in2.
-        state = fock.apply_beam_splitter(state, "e1", RAIL_TO_BOB)
-        state = fock.apply_beam_splitter(state, "e3", RAIL_TO_ALICE)
-        return [(state, 1.0)], "e2", "e4"
-
     def learn(self, bits, eve_counts, alice_result):
         # Her Alice-side ports ("e1", RAIL_TO_BOB) lead `eve_ports`.
         if alice_result is None or eve_counts[0] + eve_counts[1] != 1:
@@ -188,11 +161,11 @@ class AdaptiveInterceptAttack(InterceptResendAttack):
     gates = (BeamSplitter("e1", "e2"), BeamSplitter("e1", RAIL_TO_BOB))
 
     def networks(self):
-        """One network per resend case of `resend_cases`. Eve's ports are
-        not touched after her splitter, so measuring them last gives the
-        same joint counts; each network keeps the entries whose Eve total
-        selects its case: total 0 -> vacuum, total 1 -> a fresh (e3, e4)
-        pair with q = +-1, total >= 2 -> one photon on e4."""
+        """One network per resend case. Eve's ports are not touched after
+        her splitter, so measuring them last gives the same joint counts;
+        each network keeps the entries whose Eve total selects its case:
+        total 0 -> vacuum, total 1 -> a fresh (e3, e4) pair with q = +-1,
+        total >= 2 -> one photon on e4."""
         pair = self.gates + (BeamSplitter("e3", "e4"),)
         return (
             Network(self.gates, eve_totals=range(0, 1)),
@@ -203,22 +176,6 @@ class AdaptiveInterceptAttack(InterceptResendAttack):
             # Her two ports hold at most 2 * OCCUPANCY_CAP photons.
             Network(self.gates, ("e4",), eve_totals=range(2, 2 * fock.OCCUPANCY_CAP + 1)),
         )
-
-    def resend_cases(self, eve_total: int) -> Ensemble:
-        """Channel content toward Bob (a state holding rail "e4") given Eve's count."""
-        if eve_total == 1:
-            return [(fock.one_photon_pair(("e3", "e4"), q), w) for q, w in BIT_CASES]
-        return [(fock.basis_state(("e4",), (0 if eve_total == 0 else 1,)), 1.0)]
-
-    def channel(self, state, bits):
-        state = fock.tensor(state, fock.one_photon_pair(("e1", "e2"), bits[0]))
-        state = fock.apply_beam_splitter(state, "e1", RAIL_TO_BOB)
-        ensemble: Ensemble = []
-        for outcome, pe in fock.outcome_distribution(state, self.eve_ports).entries.items():
-            _, collapsed = fock.project_onto(state, self.eve_ports, outcome)
-            for content, pq in self.resend_cases(sum(outcome)):
-                ensemble.append((fock.tensor(collapsed, content), pe * pq))
-        return ensemble, "e2", "e4"
 
 
 class ShortCircuitAttack(Attack):
@@ -231,9 +188,6 @@ class ShortCircuitAttack(Attack):
 
     kind = "short-circuit"
     rails = (RAIL_TO_BOB, RAIL_TO_ALICE)
-
-    def channel(self, state, bits):
-        return [(state, 1.0)], RAIL_TO_BOB, RAIL_TO_ALICE
 
     def learn(self, bits, eve_counts, alice_result):
         if alice_result is None:

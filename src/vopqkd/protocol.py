@@ -17,7 +17,10 @@ Every random step of a round (the bits, the source emissions, the
 adversary's bits, detector reports) is one case table [(value, prob)]. The
 engine draws whole blocks of rounds from the tables as numpy columns; the
 exact oracle in `analysis` sums over the same tables and the same latent
-outcome tables (`build_latents`).
+outcome tables (`build_latents`). A latent's outcome table is the Born rule
+of one optical network, the parties' sources and recombiners around the
+attack's declared network, evolved by `fock.evolve_latents`; no other model
+of the optics exists.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 from . import attacks as attacks_mod
 from . import fock
 from .attacks import BIT_CASES, Attack, AttackStrategy, Cases
-from .fock import BeamSplitter, FockState, OutcomeDistribution
+from .fock import BeamSplitter
 
 ALICE_MODES = ("a1", "a2")  # (stored, traveling)
 BOB_MODES = ("b1", "b2")
@@ -223,34 +226,6 @@ class SessionConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {f}")
 
 
-@functools.lru_cache(maxsize=64)
-def encoded_pair_state(bit: int, modes: Tuple[str, str], photons: int = 1) -> FockState:
-    """Source path: inject `photons` on the bit's input port, then the splitter.
-
-    bit +1 injects on the first port, -1 on the second. One photon yields the
-    carrier (|01> + bit|10>)/sqrt(2); two photons yield
-    (1/2)|20> + (bit/sqrt(2))|11> + (1/2)|02>, both in (stored, traveling)
-    ket order.
-
-    A constant of its arguments, built once per process and shared by every
-    session (the protocol's modes give 8 states): gates never change their
-    input, and no caller may change the returned state.
-    """
-    if bit not in (-1, 1):
-        raise ValueError(f"bit must be +1 or -1, got {bit}")
-    if photons not in (1, 2):
-        raise ValueError(f"source emits 1 or 2 photons, got {photons}")
-    counts = [0, 0]
-    counts[0 if bit == 1 else 1] = photons
-    state = fock.basis_state(modes, counts)
-    state = fock.apply_beam_splitter(state, modes[0], modes[1])
-    if bit == -1 and photons == 1:
-        # Fix the source's global phase: the canonical carrier has +1/sqrt(2)
-        # on the traveling ket, the raw splitter output the opposite sign.
-        state = FockState(state.registry, {occ: -a for occ, a in state.amplitudes.items()})
-    return state
-
-
 def emission_cases(device: DeviceModel) -> Cases:
     """Photons the party's source emits: two with probability p2, else one."""
     return tuple((k, p) for k, p in ((2, device.p2), (1, 1.0 - device.p2)) if p > 0.0)
@@ -304,38 +279,6 @@ def latent_tables(cfg: SessionConfig, attack: Attack) -> List[Cases]:
         emission_cases(cfg.device_bob),
         *attack.bit_cases,
     ]
-
-
-def latent_distribution(
-    attack: Attack, n: int, m: int, na: int, nb: int, bits: tuple, recombine: bool
-) -> OutcomeDistribution:
-    """Exact joint photon counts on ("a1", rail to Alice, "b1", rail to Bob)
-    followed by the adversary's ports, for one assignment of the latents,
-    in canonical order: entries sorted by their port tuple.
-
-    The channel returns a weighted ensemble of pure states; with `recombine`
-    each branch passes both recombination splitters (count-control rounds
-    skip them).
-    """
-    state = fock.tensor(
-        encoded_pair_state(n, ALICE_MODES, na),
-        encoded_pair_state(m, BOB_MODES, nb),
-    )
-    ensemble, to_alice, to_bob = attack.channel(state, bits)
-    ports = (ALICE_MODES[0], to_alice, BOB_MODES[0], to_bob) + attack.eve_ports
-    entries: dict = {}
-    for branch, weight in ensemble:
-        if recombine:
-            branch = fock.apply_beam_splitter(branch, ALICE_MODES[0], to_alice)
-            branch = fock.apply_beam_splitter(branch, BOB_MODES[0], to_bob)
-        for occ, p in fock.outcome_distribution(branch, ports).entries.items():
-            entries[occ] = entries.get(occ, 0.0) + weight * p
-    total = sum(entries.values())
-    if abs(total - 1.0) > fock.NORM_TOL:
-        raise RuntimeError(
-            f"mixture total {total} drifted past tolerance for latents {(n, m, na, nb, bits)}"
-        )
-    return OutcomeDistribution(ports, dict(sorted(entries.items())))
 
 
 class Latents(NamedTuple):
@@ -394,7 +337,7 @@ def build_latents(attack: Attack, tables: Sequence[Cases], recombine: bool) -> L
     adversary bit one photon on its `bit_ports` entry. With `recombine` the
     parties' recombiners close the network (count-control rounds skip
     them). An entry is kept when its probability exceeds fock.PRUNE_EPS**2,
-    the square of the amplitude the sparse algebra prunes.
+    the square of the smallest amplitude kept.
     """
     keys = latent_keys(tables)
     to_alice, to_bob = attack.rails
@@ -444,20 +387,6 @@ def build_latents(attack: Attack, tables: Sequence[Cases], recombine: bool) -> L
         pieces.append((latent[col], fock.occupation_codes(rows, base)[row], prob[row, col]))
     latent, codes, p = (np.concatenate(part) for part in zip(*pieces))
     return _checked_latents(keys, latent, codes, p, base, len(ports))
-
-
-def reference_latents(attack: Attack, tables: Sequence[Cases], recombine: bool) -> Latents:
-    """`build_latents` from `latent_distribution`, one latent at a time on
-    the sparse algebra: the reference the kernel is tested against."""
-    keys = latent_keys(tables)
-    base = 2 * fock.OCCUPANCY_CAP + 1
-    pieces = [
-        (i, sum(c * base**k for k, c in enumerate(reversed(occ))), p)
-        for i, key in enumerate(keys)
-        for occ, p in latent_distribution(attack, *key, recombine).entries.items()
-    ]
-    latent, codes, p = (np.array(part) for part in zip(*pieces))
-    return _checked_latents(keys, latent, codes, p, base, 4 + len(attack.eve_ports))
 
 
 def round_uniforms(seed: int, start: int, stop: int) -> np.ndarray:

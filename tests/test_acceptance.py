@@ -11,9 +11,11 @@ import math
 
 import numpy as np
 import pytest
+import reference_optics
 
 from vopqkd import analysis, cli, fock, protocol
-from vopqkd.attacks import AttackStrategy, NullAttack
+from vopqkd.attacks import AttackStrategy, build
+from vopqkd.fock import BeamSplitter, PhaseShift
 from vopqkd.protocol import DeviceModel, SessionConfig
 from wire_form import wire_text
 
@@ -91,16 +93,18 @@ def _port_occ(ab1, ab2, ba1, ba2):
 
 @criterion(1, "recombined state matches the derived amplitudes exactly")
 def test_recombined_state_exactness():
+    honest = AttackStrategy()
+    attack = build(honest)
+    assert attack.rails == ("b2", "a2")
+    tables = reference_optics.tables(
+        protocol.build_latents(attack, protocol.latent_tables(SCENARIOS["honest"], attack), True)
+    )
     for n in (1, -1):
         for m in (1, -1):
-            state = fock.tensor(
-                protocol.encoded_pair_state(n, protocol.ALICE_MODES),
-                protocol.encoded_pair_state(m, protocol.BOB_MODES),
-            )
-            [(state, weight)], to_alice, to_bob = NullAttack().channel(state, ())
-            assert weight == 1.0 and (to_alice, to_bob) == ("b2", "a2")
-            state = fock.apply_beam_splitter(state, "a1", to_alice)
-            state = fock.apply_beam_splitter(state, "b1", to_bob)
+            # the permanent reference's state over (a1, a2, b1, b2); Eve's modes stay empty
+            state = {
+                occ[:4]: a for occ, a in reference_optics.state(honest, (n, m, 1, 1, ())).items()
+            }
             expected = {
                 _port_occ(1, 0, 1, 0): (m * n + 1) / 4,
                 _port_occ(0, 1, 0, 1): (m * n + 1) / 4,
@@ -112,15 +116,14 @@ def test_recombined_state_exactness():
                 _port_occ(0, 0, 0, 2): -m * R2 / 4,
             }
             support = {occ for occ, v in expected.items() if abs(v) > 1e-12}
-            assert set(state.amplitudes) == support  # ket/sign structure
+            assert set(state) == support  # ket/sign structure
             for occ, value in expected.items():
-                assert abs(state.amplitude(occ) - value) <= 1e-12
-            # the sampler's per-latent distribution is the Born rule of this
-            # state, on ports (a1, b2, b1, a2)
-            dist = protocol.latent_distribution(NullAttack(), n, m, 1, 1, (), recombine=True)
-            assert dist.modes == ("a1", "b2", "b1", "a2")
+                assert abs(state.get(occ, 0.0) - value) <= 1e-12
+            # the sampler's per-latent distribution (the kernel's table) is
+            # the Born rule of this state, on ports (a1, b2, b1, a2)
+            dist = tables[(n, m, 1, 1, ())]
             for occ, value in expected.items():
-                assert abs(dist.probability((occ[0], occ[3], occ[2], occ[1])) - value**2) <= 1e-12
+                assert abs(dist.get((occ[0], occ[3], occ[2], occ[1]), 0.0) - value**2) <= 1e-12
 
 
 @criterion(2, "honest run: sift 0.5, QBER 0, blind announcements, E = 1/3")
@@ -241,22 +244,25 @@ def test_property_suites_and_oracle_agreement():
     rng = np.random.default_rng(90)
     registry = ("x", "y", "z")
     for _ in range(1000):
-        support = {}
-        for _ in range(rng.integers(1, 21)):
-            occ = tuple(int(c) for c in rng.integers(0, 3, size=3))
-            support[occ] = complex(rng.normal(), rng.normal())
-        norm = math.sqrt(sum(abs(a) ** 2 for a in support.values()))
-        state = fock.from_amplitudes(registry, {k: v / norm for k, v in support.items()})
-        mixed = fock.apply_beam_splitter(state, "x", "y")
-        assert abs(mixed.norm() - 1.0) <= 1e-10
-        assert {sum(o) for o in mixed.amplitudes} <= {sum(o) for o in state.amplitudes}
-        back = fock.apply_beam_splitter(mixed, "x", "y")
-        keys = set(back.amplitudes) | set(state.amplitudes)
-        assert all(abs(back.amplitude(k) - state.amplitude(k)) <= 1e-10 for k in keys)
-        shifted = fock.apply_phase_shift(state, "z", float(rng.uniform(0, 2 * math.pi)))
-        assert abs(shifted.norm() - 1.0) <= 1e-10
-    hom = fock.apply_beam_splitter(fock.basis_state(("x", "y"), (1, 1)), "x", "y")
-    assert (1, 1) not in hom.amplitudes
+        # a random network on (x, y, z), random photons in, then the splitter
+        gates = [
+            BeamSplitter(*rng.choice(registry, size=2, replace=False)) if rng.random() < 0.5
+            else PhaseShift(str(rng.choice(registry)), float(rng.uniform(0, 2 * math.pi)))
+            for _ in range(rng.integers(0, 6))
+        ]
+        inputs = [rng.integers(0, 3, size=rng.integers(1, 4))]
+        u = fock.network_unitary(registry, gates + [BeamSplitter("x", "y")])
+        assert np.allclose(u.conj().T @ u, np.eye(3), atol=1e-10)
+        state = fock.evolve_latents(fock.network_unitary(registry, gates), inputs)
+        mixed = fock.evolve_latents(u, inputs)
+        assert abs(np.linalg.norm(mixed) - 1.0) <= 1e-10
+        back = fock.evolve_latents(fock.network_unitary(registry, gates + [BeamSplitter("x", "y")] * 2), inputs)
+        assert np.max(np.abs(back - state)) <= 1e-10
+        shifted = fock.network_unitary(registry, gates + [PhaseShift("z", float(rng.uniform(0, 2 * math.pi)))])
+        assert abs(np.linalg.norm(fock.evolve_latents(shifted, inputs)) - 1.0) <= 1e-10
+    hom = fock.evolve_latents(fock.network_unitary(("x", "y"), [BeamSplitter("x", "y")]), [[0, 1]])[:, 0]
+    one_each = fock.occupation_space(2, 2).tolist().index([1, 1])
+    assert abs(hom[one_each]) <= fock.PRUNE_EPS
 
     for name in SCENARIOS:
         records, _ = get_session(name)

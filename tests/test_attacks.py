@@ -5,27 +5,17 @@ import math
 
 import numpy as np
 import pytest
+import reference_optics
 
 from vopqkd import analysis, fock, protocol
-from vopqkd.attacks import (
-    AdaptiveInterceptAttack,
-    AttackStrategy,
-    InterceptResendAttack,
-    NullAttack,
-    PhaseTamperAttack,
-    build,
-)
-from vopqkd.protocol import HONEST_COINCIDENCE_SUPPORT, SessionConfig, run_session
+from vopqkd.attacks import ATTACK_KINDS, AttackStrategy, NullAttack, build
+from vopqkd.protocol import HONEST_COINCIDENCE_SUPPORT, DeviceModel, SessionConfig, run_session
 
 
-def channel_ensemble(attack, n, m, bits):
-    """The adversary's ensemble for one-photon sources encoding n and m."""
-    state = fock.tensor(
-        protocol.encoded_pair_state(n, protocol.ALICE_MODES),
-        protocol.encoded_pair_state(m, protocol.BOB_MODES),
-    )
-    ensemble, _, _ = attack.channel(state, bits)
-    return ensemble
+def latent_tables(attack, recombine, device=DeviceModel()):
+    """The kernel's outcome table of every latent: {key: {port row: p}}."""
+    cfg = SessionConfig(rounds=1, seed=0, device_alice=device, device_bob=device)
+    return reference_optics.tables(protocol.build_latents(attack, protocol.latent_tables(cfg, attack), recombine))
 
 
 def session(kind=None, rounds=20000, seed=17, strategy=None, **kw):
@@ -42,18 +32,34 @@ def exact_anomaly_rate(cfg: SessionConfig) -> float:
 
 
 class TestResendRule:
+    """The devil's resend rule, read off the count-control tables (no
+    recombiners): Bob's rail e4 holds what Eve sent for her total on (e1, a2)."""
+
+    TWO_PHOTON = DeviceModel(p2=0.5)
+
+    def to_bob(self, eve_total):
+        """[(latent, P(e4 count = k | Eve total)) for k = 0, 1] of every
+        latent where the total occurs."""
+        out = []
+        for key, table in latent_tables(build(AttackStrategy("devil")), False, self.TWO_PHOTON).items():
+            given = {row: p for row, p in table.items() if row[4] + row[5] == eve_total}
+            if given:
+                total = sum(given.values())
+                out.append((key, [sum(p for row, p in given.items() if row[3] == k) / total for k in (0, 1)]))
+        return out
+
     @pytest.mark.parametrize("eve_total", [2, 3])  # 3 occurs when Alice's source emits two photons
     def test_two_or_more_counts_resend_one_photon_on_e4(self, eve_total):
-        [(content, weight)] = AdaptiveInterceptAttack().resend_cases(eve_total)
-        assert weight == 1.0
-        assert content.registry == ("e4",) and content.amplitudes == {(1,): 1.0}
+        cases = self.to_bob(eve_total)
+        assert cases and (eve_total < 3 or all(key[2] == 2 for key, _ in cases))
+        for _, (vacuum, one) in cases:
+            assert abs(one - 1.0) < 1e-12 and vacuum == 0.0
 
     def test_zero_counts_resend_vacuum_and_one_count_a_fresh_pair(self):
-        [(content, weight)] = AdaptiveInterceptAttack().resend_cases(0)
-        assert weight == 1.0 and content.amplitudes == {(0,): 1.0}
-        pairs = AdaptiveInterceptAttack().resend_cases(1)
-        assert [w for _, w in pairs] == [0.5, 0.5]
-        assert [state.registry for state, _ in pairs] == [("e3", "e4")] * 2
+        for _, (vacuum, one) in self.to_bob(0):
+            assert abs(vacuum - 1.0) < 1e-12 and one == 0.0
+        for _, (vacuum, one) in self.to_bob(1):  # the pair's photon reaches e4 half the time
+            assert abs(vacuum - 0.5) < 1e-12 and abs(one - 0.5) < 1e-12
 
 
 class TestStrategyConfig:
@@ -77,10 +83,11 @@ class TestStrategyConfig:
 
 class TestNullAttack:
     def test_identity_on_state(self):
-        s = fock.one_photon_pair(("a2", "b2"), 1)
-        [(out, weight)], to_alice, to_bob = NullAttack().channel(s, ())
-        assert out.amplitudes == s.amplitudes and weight == 1.0
-        assert (to_alice, to_bob) == ("b2", "a2")
+        attack = NullAttack()
+        [net] = attack.networks()
+        assert net.gates == () and net.inputs == () and net.weight == 1.0 and net.eve_totals is None
+        assert np.array_equal(fock.network_unitary(protocol.ALICE_MODES + protocol.BOB_MODES, net.gates), np.eye(4))
+        assert attack.rails == ("b2", "a2")
 
     def test_phase_zero_bit_identical_to_none(self):
         _, s_none = session("none", rounds=5000)
@@ -133,8 +140,8 @@ class TestPhaseAttack:
         strategy = AttackStrategy(
             kind="phase", phi=1.1, channels=("alice-to-bob", "bob-to-alice")
         )
-        dist = protocol.latent_distribution(build(strategy), 1, -1, 1, 1, (), recombine=True)
-        assert abs(dist.total() - 1.0) < 1e-10
+        dist = latent_tables(build(strategy), True)[(1, -1, 1, 1, ())]
+        assert abs(sum(dist.values()) - 1.0) < 1e-10
 
 
 class TestInterceptResend:
@@ -232,19 +239,67 @@ class TestShortCircuit:
 class TestStatePreservation:
     @pytest.mark.parametrize("kind", ["phase", "mitm", "short-circuit"])
     def test_channel_action_preserves_norm(self, kind):
-        strategy = AttackStrategy(kind=kind, phi=0.7)
-        attack = build(strategy)
-        bits = (1, -1) if kind == "mitm" else ()
-        [(state, weight)] = channel_ensemble(attack, 1, -1, bits)
-        assert weight == 1.0
-        assert abs(state.norm() - 1.0) < 1e-10
+        attack = build(AttackStrategy(kind=kind, phi=0.7))
+        [net] = attack.networks()
+        assert net.weight == 1.0 and net.eve_totals is None
+        modes = protocol.ALICE_MODES + protocol.BOB_MODES + attack.modes
+        u = fock.network_unitary(modes, net.gates)
+        assert np.allclose(u.conj().T @ u, np.eye(len(modes)), atol=1e-10)
+        for table in latent_tables(attack, True).values():
+            assert abs(sum(table.values()) - 1.0) < 1e-10
 
     def test_devil_stage_states_normalized(self):
         attack = build(AttackStrategy(kind="devil"))
-        for n in (1, -1):
-            for p in (1, -1):
-                ensemble = channel_ensemble(attack, n, 1, (p,))
-                assert len(ensemble) > 1  # one branch per (her count, resend case)
-                assert abs(sum(w for _, w in ensemble) - 1.0) < 1e-10
-                for state, _ in ensemble:
-                    assert abs(state.norm() - 1.0) < 1e-10
+        assert len(attack.networks()) > 1  # one network per resend case
+        # the resend cases of each Eve total carry weights that sum to 1
+        for total in range(2 * fock.OCCUPANCY_CAP + 1):
+            weights = [net.weight for net in attack.networks() if total in net.eve_totals]
+            assert abs(sum(weights) - 1.0) < 1e-10
+        for table in latent_tables(attack, True).values():
+            assert abs(sum(table.values()) - 1.0) < 1e-10
+
+
+EVE_DEVICES = {
+    "ideal": DeviceModel(),
+    "p2-threshold": DeviceModel(p2=0.3, detector_kind="threshold"),
+    "p2-threshold-eta": DeviceModel(p2=0.3, detector_kind="threshold", eta=0.8),
+    "p2-pnr": DeviceModel(p2=0.3),
+    "threshold-eta": DeviceModel(detector_kind="threshold", eta=0.8),
+}
+# P(learn returns a bit other than n) for mitm and devil, exactly as the
+# enumeration below gives it; a fix of `learn` turns these strict xfails red.
+OVER_CLAIMS = {"p2-threshold": 0.009375, "p2-threshold-eta": 0.012}
+
+
+def eve_cases():
+    for kind in ATTACK_KINDS:
+        for name in EVE_DEVICES:
+            marks = ()
+            if kind in ("mitm", "devil") and name in OVER_CLAIMS:
+                reason = f"learn over-claims n with threshold detectors and p2 > 0: P = {OVER_CLAIMS[name]}"
+                marks = pytest.mark.xfail(reason=reason, strict=True)
+            yield pytest.param(kind, name, marks=marks, id=f"{kind}-{name}")
+
+
+@pytest.mark.parametrize("kind, device", eve_cases())
+def test_eve_never_learns_a_wrong_bit(kind, device):
+    """Exact, no sampling: over every latent of the session, every entry of
+    its outcome table and every report of Alice's detectors, `learn`
+    returns None or n."""
+    device = EVE_DEVICES[device]
+    strategy = AttackStrategy(kind, phi=1.0) if kind == "phase" else AttackStrategy(kind)
+    engine = protocol.RoundEngine(
+        SessionConfig(rounds=1, seed=0, attack=strategy, device_alice=device, device_bob=device)
+    )
+    latents = engine.latents(True)
+    wrong = 0.0
+    for i, (n, m, na, nb, bits) in enumerate(latents.keys):
+        weight = math.prod(dict(cases)[v] for cases, v in zip(engine.tables, (n, m, na, nb, *bits)))
+        for j in range(latents.bounds[i], latents.bounds[i + 1]):
+            row = tuple(latents.rows[latents.row[j]].tolist())
+            for report, q in protocol.detector_cases(row[:2], device.eta, device.detector_kind):
+                result = (1 if report[0] == 1 else 2) if sum(report) == 1 else None
+                learned = engine.attack.learn(bits, row[4:] if engine.attack.eve_ports else None, result)
+                if learned is not None and learned != n:
+                    wrong += weight * latents.p[j] * q
+    assert wrong == 0.0, f"P(learn returns a bit other than n) = {wrong}"

@@ -1,13 +1,17 @@
-"""The batched linear-optics kernel against the sparse gate-by-gate
-reference: network matrices, evolved amplitudes, every attack's latent
-tables, and the checks the kernel keeps (norm, occupancy cap)."""
+"""The batched linear-optics kernel against the independent permanent
+reference (`reference_optics`): network matrices, evolved amplitudes, every
+attack's latent tables, and the checks the kernel keeps (norm, occupancy
+cap)."""
 
+import ast
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import reference_optics
 
 from vopqkd import analysis, fock, protocol
 from vopqkd.attacks import CHANNEL_NAMES, Attack, AttackStrategy, Network, build
@@ -15,15 +19,15 @@ from vopqkd.fock import BeamSplitter, PhaseShift
 from vopqkd.protocol import DeviceModel, SessionConfig
 
 R2 = math.sqrt(2.0)
+TESTS = Path(__file__).resolve().parent
 
 
-def apply_gates(state, gates):
-    for gate in gates:
-        if isinstance(gate, BeamSplitter):
-            state = fock.apply_beam_splitter(state, gate.in1, gate.in2)
-        else:
-            state = fock.apply_phase_shift(state, gate.mode, gate.phi)
-    return state
+def permanent_amplitudes(modes, gates, inputs):
+    """{occupation: amplitude} of the reference for photons entering on
+    the mode indices `inputs`; the reference reads each gate as a plain
+    tuple, (in1, in2) or (mode, phi)."""
+    out, amps = reference_optics.amplitudes(reference_optics.network(modes, gates), inputs)
+    return dict(zip(map(tuple, out.tolist()), amps))
 
 
 class TestNetworkUnitary:
@@ -71,6 +75,23 @@ class TestOccupationSpace:
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
         assert out.stdout.split() == ["0", "0"]
 
+    def test_sessions_leave_the_shared_maps_unchanged(self):
+        # Every session of a process reads these maps; none may write them.
+        def snapshot():
+            return [
+                np.copy(a)
+                for m, n in ((4, 4), (8, 3), (8, 6))
+                for a in (fock.occupation_space(m, n), *fock._creation_map(m, n), fock._ladder_norms(m, n))
+            ]
+
+        before = snapshot()
+        two_photon = DeviceModel(p2=0.5)
+        for strategy in GRID:
+            analysis.exact_readout_distribution(
+                SessionConfig(rounds=1, seed=0, attack=strategy, device_alice=two_photon, device_bob=two_photon)
+            )
+        assert all(np.array_equal(a, b) for a, b in zip(before, snapshot()))
+
 
 class TestEvolveLatents:
     MODES = ("p", "q", "r", "s")
@@ -89,9 +110,8 @@ class TestEvolveLatents:
         space = fock.occupation_space(len(self.MODES), len(inputs[0]))
         assert amps.shape == (len(space), len(inputs))
         for column, latent in zip(amps.T, inputs):
-            counts = np.bincount(latent, minlength=len(self.MODES))
-            ref = apply_gates(fock.basis_state(self.MODES, counts), self.GATES)
-            want = np.array([ref.amplitude(tuple(occ)) for occ in space.tolist()])
+            ref = permanent_amplitudes(self.MODES, self.GATES, latent)
+            want = np.array([ref[tuple(occ)] for occ in space.tolist()])
             assert np.max(np.abs(column - want)) < 1e-12
             assert abs(np.linalg.norm(column) - 1.0) < 1e-12
 
@@ -130,7 +150,7 @@ class TestKernelMatchesReference:
         kernel = protocol.build_latents(attack, tables, recombine)
         # every (n, m, na, nb, bits) with na, nb in {1, 2}
         assert {key[2:4] for key in kernel.keys} == {(1, 1), (1, 2), (2, 1), (2, 2)}
-        assert_same_latents(kernel, protocol.reference_latents(attack, tables, recombine))
+        assert_same_latents(kernel, protocol.Latents(*reference_optics.latents(strategy, tables, recombine)))
 
     def test_tables_are_in_canonical_order(self):
         attack = build(AttackStrategy("mitm"))
@@ -146,7 +166,13 @@ class TestKernelMatchesReference:
             rounds=1, seed=0, attack=AttackStrategy(kind), device_alice=lossy, device_bob=lossy
         )
         kernel = analysis.exact_joint_distribution(cfg)
-        monkeypatch.setattr(protocol, "build_latents", protocol.reference_latents)
+        monkeypatch.setattr(
+            protocol,
+            "build_latents",
+            lambda attack, tables, recombine: protocol.Latents(
+                *reference_optics.latents(cfg.attack, tables, recombine)
+            ),
+        )
         reference = analysis.exact_joint_distribution(cfg)
         assert set(kernel) == set(reference)
         assert max(abs(kernel[k] - reference[k]) for k in kernel) < 1e-12
@@ -194,3 +220,21 @@ class TestKernelChecks:
             assert cases[total] == [(("e4",), 1.0)]  # one photon on e4
         pair = BeamSplitter("e3", "e4")
         assert [pair in net.gates for net in devil.networks()] == [False, True, True, False]
+
+
+def imported_modules(path):
+    """The top-level names of every module `path` imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names.add("." if node.level else node.module.split(".")[0])
+    return names
+
+
+def test_reference_shares_no_code_with_the_package():
+    assert imported_modules(TESTS / "reference_optics.py") <= set(sys.stdlib_module_names) | {"numpy"}
+    test_modules = {path.stem for path in TESTS.glob("*.py")} | {"tests"}
+    for source in (TESTS.parent / "src" / "vopqkd").glob("*.py"):
+        assert not imported_modules(source) & test_modules, source.name

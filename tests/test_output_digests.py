@@ -3,12 +3,13 @@ bytes on a small grid (every attack kind, ideal and lossy devices; the
 oracle CSV, and JSONL records with both control kinds on). A change that
 moves any output byte fails here; a deliberate change of the mapping
 updates the digests and says so in the README. The same bytes come out
-when the engine's latent tables are built by the sparse reference instead
-of the batched kernel."""
+when the engine's latent tables are built by the independent permanent
+reference (`reference_optics`) instead of the batched kernel."""
 
 import hashlib
 
 import pytest
+import reference_optics
 
 from vopqkd import cli, protocol
 from vopqkd.attacks import ATTACK_KINDS
@@ -55,9 +56,12 @@ def test_grid_covers_every_attack_kind():
     assert set(DIGESTS) == {(c, a, d) for c in COMMANDS for a in ATTACKS for d in DEVICES}
 
 
+def grid_argv(command, attack, device):
+    return COMMANDS[command] + ["--rounds", "3000", "--seed", "5"] + ATTACKS[attack] + DEVICES[device]
+
+
 def output_digest(capsys, command, attack, device):
-    argv = COMMANDS[command] + ["--rounds", "3000", "--seed", "5"] + ATTACKS[attack] + DEVICES[device]
-    assert cli.main(argv) == 0
+    assert cli.main(grid_argv(command, attack, device)) == 0
     return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
@@ -68,5 +72,13 @@ def test_output_bytes_are_pinned(capsys, command, attack, device):
 
 @pytest.mark.parametrize("command, attack, device", list(DIGESTS))
 def test_sparse_reference_tables_give_the_same_bytes(monkeypatch, capsys, command, attack, device):
-    monkeypatch.setattr(protocol, "build_latents", protocol.reference_latents)
+    # The name is kept from the sparse-algebra reference this test used to run.
+    args = cli.build_parser().parse_args(grid_argv(command, attack, device))
+    strategy = cli.parse_config(args).session_config().attack
+
+    def reference_build(attack, tables, recombine):
+        assert attack.kind == strategy.kind
+        return protocol.Latents(*reference_optics.latents(strategy, tables, recombine))
+
+    monkeypatch.setattr(protocol, "build_latents", reference_build)
     assert output_digest(capsys, command, attack, device) == DIGESTS[(command, attack, device)]

@@ -1,6 +1,8 @@
-"""Hypothesis property tests: Fock-algebra invariants, the invariants of
-the shared latent kernel (case tables, per-latent distributions, oracle),
-and the scenario configuration's file round trip and validation."""
+"""Hypothesis property tests: the kernel's gate invariants and its
+amplitudes against the independent permanent reference on random networks,
+the invariants of the shared latent tables (case tables, per-latent
+distributions, oracle), and the scenario configuration's file round trip
+and validation."""
 
 import contextlib
 import io
@@ -11,6 +13,7 @@ import os
 import tempfile
 
 import numpy as np
+import reference_optics
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 from vopqkd import analysis, cli, fock, protocol
 from vopqkd.attacks import BIT_CASES, ATTACK_KINDS, CHANNEL_NAMES, AttackStrategy, build
 from vopqkd.cli import FORMATS, ScenarioConfig
+from vopqkd.fock import BeamSplitter, PhaseShift
 from vopqkd.protocol import DETECTOR_KINDS, SEED_LIMIT, DeviceModel, SessionConfig
 
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -25,18 +29,25 @@ KERNEL = settings(max_examples=15, deadline=None)
 CONFIG = settings(max_examples=60, deadline=None)
 
 REGISTRY = ("x", "y", "z")
-
-occupations = st.tuples(*[st.integers(0, 2)] * len(REGISTRY))
-amplitudes = st.builds(complex, st.floats(-1, 1), st.floats(-1, 1))
+MODES = tuple(f"m{k}" for k in range(8))
 
 
 @st.composite
-def states(draw):
-    support = draw(st.dictionaries(occupations, amplitudes, min_size=1, max_size=12))
-    norm = math.sqrt(sum(abs(a) ** 2 for a in support.values()))
-    if norm < 1e-3:
-        support, norm = {(1, 0, 0): 1.0}, 1.0
-    return fock.from_amplitudes(REGISTRY, {k: a / norm for k, a in support.items()})
+def networks(draw, modes=MODES, max_photons=6):
+    """(modes, gates, inputs): a random gate list on the first 1-8 modes
+    and 0-6 photons on random input ports."""
+    modes = modes[: draw(st.integers(1, len(modes)))]
+    splitters = st.builds(BeamSplitter, st.sampled_from(modes), st.sampled_from(modes)).filter(
+        lambda g: g.in1 != g.in2
+    )
+    phases = st.builds(PhaseShift, st.sampled_from(modes), st.floats(-10.0, 10.0))
+    gates = draw(st.lists((splitters | phases) if len(modes) > 1 else phases, max_size=12))
+    inputs = draw(st.lists(st.integers(0, len(modes) - 1), max_size=max_photons))
+    return modes, gates, inputs
+
+
+def kernel_amplitudes(modes, gates, inputs):
+    return fock.evolve_latents(fock.network_unitary(modes, gates), [inputs])[:, 0]
 
 
 probabilities = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
@@ -61,53 +72,63 @@ def assert_table(table):
 
 
 @PROPERTY
-@given(states(), st.sampled_from(list(itertools.permutations(REGISTRY, 2))))
-def test_beam_splitter_preserves_norm_and_is_self_inverse(state, modes):
-    mixed = fock.apply_beam_splitter(state, *modes)
-    assert abs(mixed.norm() - 1.0) < 1e-10
-    back = fock.apply_beam_splitter(mixed, *modes)
-    for occ in set(back.amplitudes) | set(state.amplitudes):
-        assert abs(back.amplitude(occ) - state.amplitude(occ)) < 1e-10
+@given(networks(REGISTRY, 3), st.sampled_from(list(itertools.permutations(REGISTRY, 2))))
+def test_beam_splitter_preserves_norm_and_is_self_inverse(network, modes):
+    _, gates, inputs = network
+    mixed = kernel_amplitudes(REGISTRY, gates + [BeamSplitter(*modes)], inputs)
+    assert abs(np.linalg.norm(mixed) - 1.0) < 1e-10
+    back = kernel_amplitudes(REGISTRY, gates + [BeamSplitter(*modes)] * 2, inputs)
+    assert np.max(np.abs(back - kernel_amplitudes(REGISTRY, gates, inputs))) < 1e-10
 
 
 @PROPERTY
-@given(states(), st.sampled_from(REGISTRY), st.floats(-10.0, 10.0))
-def test_phase_shift_preserves_norm(state, mode, phi):
-    assert abs(fock.apply_phase_shift(state, mode, phi).norm() - 1.0) < 1e-10
-
-
-def assert_rebuilds(state):
-    """A gate output passes the validating public constructor unchanged."""
-    assert fock.FockState(state.registry, dict(state.amplitudes)) == state
-    assert isinstance(state.registry, tuple)
-
-
-mode_pairs = st.sampled_from(list(itertools.permutations(REGISTRY, 2)))
+@given(networks(REGISTRY, 3), st.sampled_from(REGISTRY), st.floats(-10.0, 10.0))
+def test_phase_shift_preserves_norm(network, mode, phi):
+    _, gates, inputs = network
+    assert abs(np.linalg.norm(kernel_amplitudes(REGISTRY, gates + [PhaseShift(mode, phi)], inputs)) - 1.0) < 1e-10
 
 
 @PROPERTY
-@given(states(), mode_pairs, st.sampled_from(REGISTRY), st.floats(-10.0, 10.0))
-def test_unitary_gate_outputs_are_valid_states(state, pair, mode, phi):
-    assert_rebuilds(fock.apply_beam_splitter(state, *pair))
-    assert_rebuilds(fock.apply_phase_shift(state, mode, phi))
+@given(networks())
+def test_unitary_gate_outputs_are_valid_states(network):
+    # The network's matrix is unitary, and each output is a unit vector over
+    # the occupations of its photons.
+    modes, gates, inputs = network
+    u = fock.network_unitary(modes, gates)
+    assert np.allclose(u.conj().T @ u, np.eye(len(modes)), atol=1e-12)
+    amps = kernel_amplitudes(modes, gates, inputs)
+    assert amps.shape == (len(fock.occupation_space(len(modes), len(inputs))),)
+    assert abs(np.linalg.norm(amps) - 1.0) < 1e-10
 
 
 @PROPERTY
-@given(states(), states())
+@given(networks(REGISTRY, 3), networks(REGISTRY, 3))
 def test_tensor_output_is_a_valid_state(first, second):
-    second = fock.FockState(("u", "v", "w"), second.amplitudes)
-    assert_rebuilds(fock.tensor(first, second))
-    assert_rebuilds(fock.tensor(first))
+    # Two networks on disjoint modes, run as one: each joint amplitude is
+    # the product of the two parts' amplitudes.
+    (_, gates1, inputs1), (_, gates2, inputs2) = first, second
+    renamed = dict(zip(REGISTRY, ("u", "v", "w")))
+    gates2 = [g._replace(**{f: renamed[getattr(g, f)] for f in ("in1", "in2", "mode") if f in g._fields}) for g in gates2]
+    parts = [
+        dict(zip(map(tuple, fock.occupation_space(3, len(inputs)).tolist()), kernel_amplitudes(modes, gates, inputs)))
+        for modes, gates, inputs in ((REGISTRY, gates1, inputs1), (("u", "v", "w"), gates2, inputs2))
+    ]
+    joint = kernel_amplitudes(REGISTRY + ("u", "v", "w"), gates1 + gates2, inputs1 + [3 + i for i in inputs2])
+    for occ, a in zip(fock.occupation_space(6, len(inputs1) + len(inputs2)).tolist(), joint):
+        expected = parts[0].get(tuple(occ[:3]), 0.0) * parts[1].get(tuple(occ[3:]), 0.0)
+        assert abs(a - expected) < 1e-12
 
 
-@PROPERTY
-@given(states(), st.sets(st.sampled_from(REGISTRY), min_size=1), st.data())
-def test_projection_output_is_a_valid_state(state, modes, data):
-    modes = sorted(modes)
-    counts = data.draw(st.tuples(*[st.integers(0, 2)] * len(modes)))
-    prob, post = fock.project_onto(state, modes, counts)
-    assert_rebuilds(post)
-    assert (prob > 0.0) == bool(post.amplitudes)
+@settings(max_examples=200, deadline=None)
+@given(networks())
+def test_kernel_equals_the_permanent_reference_on_random_networks(network):
+    modes, gates, inputs = network
+    # the reference reads each gate as a plain tuple, (in1, in2) or (mode, phi)
+    patterns, reference = reference_optics.amplitudes(reference_optics.network(modes, gates), inputs)
+    want = dict(zip(map(tuple, patterns.tolist()), reference))
+    space = fock.occupation_space(len(modes), len(inputs)).tolist()
+    assert len(space) == len(want)
+    assert np.max(np.abs(kernel_amplitudes(modes, gates, inputs) - [want[tuple(occ)] for occ in space])) < 1e-12
 
 
 @KERNEL
@@ -119,9 +140,6 @@ def test_every_case_table_sums_to_one(strategy, alice, bob):
     for device in (alice, bob):
         for counts in itertools.product(range(fock.OCCUPANCY_CAP + 1), repeat=2):
             assert_table(protocol.detector_cases(counts, device.eta, device.detector_kind))
-    if hasattr(attack, "resend_cases"):
-        for eve_total in range(4):
-            assert_table(attack.resend_cases(eve_total))
     assert_table(BIT_CASES)
 
 
@@ -151,10 +169,10 @@ def test_eve_counts_do_not_depend_on_recombination(strategy, na, nb, data):
     bits = tuple(data.draw(st.sampled_from([v for v, _ in cases])) for cases in attack.bit_cases)
     marginals = []
     for recombine in (True, False):
-        dist = protocol.latent_distribution(attack, n, m, na, nb, bits, recombine)
-        assert abs(dist.total() - 1.0) < 1e-10
+        dist = reference_optics.distribution(strategy, (n, m, na, nb, bits), recombine)
+        assert abs(sum(dist.values()) - 1.0) < 1e-10
         eve = {}
-        for occ, p in dist.entries.items():
+        for occ, p in dist.items():
             eve[occ[4:]] = eve.get(occ[4:], 0.0) + p
         marginals.append(eve)
     for key in set(marginals[0]) | set(marginals[1]):
@@ -170,7 +188,8 @@ def test_kernel_latent_matches_the_sparse_reference(strategy, alice, bob, recomb
     )
     i = data.draw(st.integers(0, len(latents.keys) - 1))
     entries = slice(latents.bounds[i], latents.bounds[i + 1])
-    reference = protocol.latent_distribution(attack, *latents.keys[i], recombine).entries
+    # The name is kept from the sparse-algebra reference this test used to run.
+    reference = reference_optics.distribution(strategy, latents.keys[i], recombine)
     assert [tuple(row) for row in latents.rows[latents.row[entries]].tolist()] == list(reference)
     assert np.max(np.abs(latents.p[entries] - list(reference.values()))) < 1e-12
 
